@@ -21,7 +21,7 @@ from repro.features.builder import (
     build_features,
     compute_top_apps,
 )
-from repro.features.history import HistoryIndex, IncrementalHistoryIndex
+from repro.features.history import HistoryIndex
 from repro.features.schema import (
     FeatureSchema,
     GROUP_APP,
@@ -37,7 +37,6 @@ __all__ = [
     "build_features",
     "compute_top_apps",
     "HistoryIndex",
-    "IncrementalHistoryIndex",
     "FeatureSchema",
     "GROUP_APP",
     "GROUP_HIST",

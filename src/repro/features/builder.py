@@ -3,7 +3,9 @@
 One output row per (run, node) sample.  Telemetry statistics come straight
 from the trace's samples table (the out-of-band sampler computed them
 online); history features are computed here, causally, via
-:class:`~repro.features.history.HistoryIndex`.
+:class:`~repro.features.history.HistoryIndex`.  :class:`FeatureAssembler`
+is the one definition of the columns: the batch, out-of-core and
+streaming (:mod:`repro.serve.engine`) builders all assemble rows with it.
 """
 
 from __future__ import annotations
@@ -25,15 +27,32 @@ from repro.telemetry.trace import PRE_WINDOWS_MINUTES, Trace
 from repro.utils.errors import ValidationError
 
 __all__ = [
+    "FeatureAssembler",
     "FeatureMatrix",
     "SampleTableBuilder",
+    "alloc_history",
     "build_features",
     "build_features_from_store",
     "compute_top_apps",
+    "window_counts",
 ]
 
 MINUTES_PER_DAY = 1440.0
 _STAT_SUFFIXES = ("mean", "std", "dmean", "dstd")
+_HISTORY_WINDOWS = ("today", "yesterday", "before")
+#: Per-sample metadata columns and their dtypes.
+_META_COLUMNS = {
+    "run_idx": np.int64,
+    "job_id": np.int64,
+    "node_id": np.int64,
+    "app_id": np.int64,
+    "start_minute": float,
+    "end_minute": float,
+    "duration_minutes": float,
+    "n_nodes": np.int64,
+    "gpu_core_hours": float,
+    "sbe_count": np.int64,
+}
 
 
 def compute_top_apps(app_ids: np.ndarray, top_k: int) -> np.ndarray:
@@ -104,177 +123,186 @@ class SampleTableBuilder:
         """Compute all features for every sample in the trace."""
         trace = self._trace
         s = trace.samples
-        top_apps = compute_top_apps(s["app_id"].astype(int), self._top_k_apps)
-        node_index, app_index = self._history_indices()
-        schema, columns, node_hist_today = _chunk_columns(
-            s, trace.machine, top_apps, node_index, app_index
+        assembler = FeatureAssembler(
+            trace.machine, compute_top_apps(s["app_id"], self._top_k_apps)
         )
-        # Allocation-level history: mean node history over the run's nodes.
-        run_idx = s["run_idx"].astype(int)
-        schema.add("hist_alloc_today", GROUP_HIST, "hist_local", "hist_today")
-        columns.append(
-            np.asarray(_alloc_history(run_idx, node_hist_today), dtype=float)
+        X, node_today = assembler.assemble(
+            s,
+            *_history_indices(
+                s["job_id"], s["node_id"], s["end_minute"], s["sbe_count"], s["app_id"]
+            ),
         )
-
-        X = np.column_stack(columns)
-        meta = {
-            "run_idx": run_idx,
-            "job_id": s["job_id"].astype(int),
-            "node_id": s["node_id"].astype(int),
-            "app_id": s["app_id"].astype(int),
-            "start_minute": s["start_minute"].astype(float),
-            "end_minute": s["end_minute"].astype(float),
-            "duration_minutes": s["duration_minutes"].astype(float),
-            "n_nodes": s["n_nodes"].astype(int),
-            "gpu_core_hours": s["gpu_core_hours"].astype(float),
-            "sbe_count": s["sbe_count"].astype(np.int64),
-        }
+        meta = {name: s[name].astype(dtype) for name, dtype in _META_COLUMNS.items()}
+        X[:, -1] = alloc_history(meta["run_idx"], node_today)
         return FeatureMatrix(
             X=X,
             y=(s["sbe_count"] > 0).astype(int),
-            schema=schema,
+            schema=assembler.schema,
             meta=meta,
         )
 
-    def _history_indices(self) -> tuple[HistoryIndex, HistoryIndex]:
-        """Node-keyed and app-keyed causal SBE event indices."""
-        s = self._trace.samples
-        return _history_indices_from_arrays(
-            s["job_id"], s["node_id"], s["end_minute"], s["sbe_count"], s["app_id"]
-        )
 
+class FeatureAssembler:
+    """The feature columns, defined once, for any set of sample rows.
 
-def _chunk_columns(
-    s: dict[str, np.ndarray],
-    machine,
-    top_apps: np.ndarray,
-    node_index: HistoryIndex,
-    app_index: HistoryIndex,
-) -> tuple[FeatureSchema, list[np.ndarray], np.ndarray]:
-    """Feature columns for one chunk of sample rows.
-
-    Every feature except ``hist_alloc_today`` is a per-row computation
-    once the global inputs (the top-app vocabulary and the two causal
-    history indices) are fixed, so this function serves both the batch
-    builder (one chunk = the whole table) and the out-of-core builder
-    (one chunk = one store segment) with the *same* arithmetic — which
-    is what makes their outputs bit-identical.  Returns
-    ``(schema, columns, node_hist_today)``; the caller appends the
-    allocation-history column, which needs all rows at once.
+    The batch builder (all rows at once), the out-of-core builder (one
+    store segment at a time) and the streaming engine (one completed run
+    at a time) take their schema and their row values from here, which
+    is what makes their outputs bit-identical.  Every column but the
+    last is a per-row computation once the global inputs (the top-app
+    vocabulary and the two causal history indices) are fixed; the last,
+    ``hist_alloc_today``, is the mean of ``hist_node_today`` over the
+    run's nodes, so callers fill it with :func:`alloc_history` once they
+    hold every row of a run.
     """
-    n = next(iter(s.values())).shape[0]
-    schema = FeatureSchema()
-    columns: list[np.ndarray] = []
 
-    def add(name: str, values: np.ndarray, *tags: str) -> None:
-        schema.add(name, *tags)
-        columns.append(np.asarray(values, dtype=float))
+    def __init__(self, machine, top_apps: np.ndarray) -> None:
+        self._top_apps = np.asarray(top_apps, dtype=int)
+        schema = FeatureSchema()
+        # Application features (temporal, paper §V-A).
+        schema.add("app_code", GROUP_APP)
+        for rank in range(self._top_apps.size):
+            schema.add(f"app_is_top{rank:02d}", GROUP_APP)
+        schema.add("prev_app_code", GROUP_APP)
+        schema.add("prev_app_same", GROUP_APP)
+        # Sample columns copied as they are: the rest of the application
+        # features, then temperature/power (current run, pre-windows,
+        # CPU and slot neighbours).
+        self._copied_at = len(schema)
+        copied = [
+            (name, (GROUP_APP,))
+            for name in (
+                "duration_minutes",
+                "n_nodes",
+                "gpu_core_hours",
+                "gpu_util",
+                "max_mem_gb",
+                "agg_mem_gb",
+            )
+        ]
+        copied += [
+            (f"{quantity}_{suffix}", (GROUP_TP, "tp_cur"))
+            for quantity in ("gpu_temp", "gpu_power")
+            for suffix in _STAT_SUFFIXES
+        ]
+        copied += [
+            (f"pre{window}_{quantity}_{suffix}", (GROUP_TP, "tp_prev"))
+            for window in PRE_WINDOWS_MINUTES
+            for quantity in ("temp", "power")
+            for suffix in _STAT_SUFFIXES
+        ]
+        copied += [
+            (f"{quantity}_{suffix}", (GROUP_TP, "tp_nei"))
+            for quantity in ("cpu_temp", "nei_temp", "nei_power")
+            for suffix in _STAT_SUFFIXES
+        ]
+        for name, tags in copied:
+            schema.add(name, *tags)
+        self._copied = [name for name, _ in copied]
+        # Node location (spatial, paper §V-B), looked up per node.
+        self._location_at = len(schema)
+        for name in (
+            "loc_cabinet_x",
+            "loc_cabinet_y",
+            "loc_cage",
+            "loc_slot",
+            "loc_node_in_slot",
+            "loc_node_code",
+        ):
+            schema.add(name, GROUP_LOCATION)
+        cfg = machine.config
+        node = np.arange(machine.num_nodes)
+        within = node % cfg.nodes_per_cabinet
+        per_cage = cfg.slots_per_cage * cfg.nodes_per_slot
+        self._location = np.column_stack(
+            [
+                machine.cabinet_x,
+                machine.cabinet_y,
+                within // per_cage,
+                (within % per_cage) // cfg.nodes_per_slot,
+                within % cfg.nodes_per_slot,
+                node,
+            ]
+        ).astype(float)
+        # SBE history (causal; log1p-compressed counts).
+        self._history_at = len(schema)
+        for length in _HISTORY_WINDOWS:
+            schema.add(f"hist_node_{length}", GROUP_HIST, "hist_local", f"hist_{length}")
+            schema.add(f"hist_app_{length}", GROUP_HIST, "hist_app", f"hist_{length}")
+            schema.add(
+                f"hist_machine_{length}", GROUP_HIST, "hist_global", f"hist_{length}"
+            )
+        schema.add("hist_alloc_today", GROUP_HIST, "hist_local", "hist_today")
+        self.schema = schema
 
-    # ------------------------------------------------------------------
-    # Application features (temporal, paper §V-A)
-    # ------------------------------------------------------------------
-    app_id = s["app_id"].astype(int)
-    add("app_code", app_id, GROUP_APP)
-    for rank, app in enumerate(top_apps):
-        add(f"app_is_top{rank:02d}", (app_id == app).astype(float), GROUP_APP)
-    prev_app = s["prev_app_id"].astype(int)
-    add("prev_app_code", prev_app, GROUP_APP)
-    add("prev_app_same", (prev_app == app_id).astype(float), GROUP_APP)
-    add("duration_minutes", s["duration_minutes"], GROUP_APP)
-    add("n_nodes", s["n_nodes"], GROUP_APP)
-    add("gpu_core_hours", s["gpu_core_hours"], GROUP_APP)
-    add("gpu_util", s["gpu_util"], GROUP_APP)
-    add("max_mem_gb", s["max_mem_gb"], GROUP_APP)
-    add("agg_mem_gb", s["agg_mem_gb"], GROUP_APP)
+    def assemble(
+        self,
+        s: dict[str, np.ndarray],
+        node_index: HistoryIndex,
+        app_index: HistoryIndex,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Feature rows for the sample rows in ``s``.
 
-    # ------------------------------------------------------------------
-    # Temperature/power features (current run, pre-windows, neighbours)
-    # ------------------------------------------------------------------
-    for quantity in ("gpu_temp", "gpu_power"):
-        for suffix in _STAT_SUFFIXES:
-            name = f"{quantity}_{suffix}"
-            add(name, s[name], GROUP_TP, "tp_cur")
-    for window in PRE_WINDOWS_MINUTES:
-        for quantity in ("temp", "power"):
-            for suffix in _STAT_SUFFIXES:
-                name = f"pre{window}_{quantity}_{suffix}"
-                add(name, s[name], GROUP_TP, "tp_prev")
-    for quantity in ("cpu_temp", "nei_temp", "nei_power"):
-        for suffix in _STAT_SUFFIXES:
-            name = f"{quantity}_{suffix}"
-            add(name, s[name], GROUP_TP, "tp_nei")
-
-    # ------------------------------------------------------------------
-    # Node location (spatial, paper §V-B)
-    # ------------------------------------------------------------------
-    node_id = s["node_id"].astype(int)
-    add("loc_cabinet_x", machine.cabinet_x[node_id], GROUP_LOCATION)
-    add("loc_cabinet_y", machine.cabinet_y[node_id], GROUP_LOCATION)
-    cfg = machine.config
-    per_cab = cfg.nodes_per_cabinet
-    within = node_id % per_cab
-    per_cage = cfg.slots_per_cage * cfg.nodes_per_slot
-    add("loc_cage", within // per_cage, GROUP_LOCATION)
-    add("loc_slot", (within % per_cage) // cfg.nodes_per_slot, GROUP_LOCATION)
-    add("loc_node_in_slot", within % cfg.nodes_per_slot, GROUP_LOCATION)
-    add("loc_node_code", node_id, GROUP_LOCATION)
-
-    # ------------------------------------------------------------------
-    # SBE history (causal; log1p-compressed counts)
-    # ------------------------------------------------------------------
-    start = s["start_minute"].astype(float)
-    day = MINUTES_PER_DAY
-
-    def windows(index: HistoryIndex, keys: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            "today": index.batch_between(keys, start - day, start),
-            "yesterday": index.batch_between(keys, start - 2 * day, start - day),
-            "before": index.batch_between(keys, np.full(n, -np.inf), start - 2 * day),
-        }
-
-    node_hist = windows(node_index, node_id)
-    app_hist = windows(app_index, app_id)
-    machine_hist = {
-        "today": node_index.global_batch_between(start - day, start),
-        "yesterday": node_index.global_batch_between(start - 2 * day, start - day),
-        "before": node_index.global_batch_between(
-            np.full(n, -np.inf), start - 2 * day
-        ),
-    }
-    for length in ("today", "yesterday", "before"):
-        add(
-            f"hist_node_{length}",
-            np.log1p(node_hist[length]),
-            GROUP_HIST,
-            "hist_local",
-            f"hist_{length}",
+        Returns ``(X, node_today)``: ``X`` with every column filled but
+        the last, and each row's node SBE count over the day before its
+        start, from which :func:`alloc_history` derives the last column.
+        """
+        node_id = s["node_id"].astype(int)
+        app_id = s["app_id"].astype(int)
+        prev_app = s["prev_app_id"].astype(int)
+        X = np.empty((node_id.size, len(self.schema)))
+        top = self._top_apps.size
+        X[:, 0] = app_id
+        X[:, 1 : 1 + top] = app_id[:, None] == self._top_apps
+        X[:, 1 + top] = prev_app
+        X[:, 2 + top] = prev_app == app_id
+        for j, name in enumerate(self._copied, start=self._copied_at):
+            X[:, j] = s[name]
+        X[:, self._location_at : self._location_at + 6] = self._location[node_id]
+        start = s["start_minute"].astype(float)
+        windows = (
+            window_counts(node_index, node_id, start),
+            window_counts(app_index, app_id, start),
+            window_counts(node_index, None, start),
         )
-        add(
-            f"hist_app_{length}",
-            np.log1p(app_hist[length]),
-            GROUP_HIST,
-            "hist_app",
-            f"hist_{length}",
-        )
-        add(
-            f"hist_machine_{length}",
-            np.log1p(machine_hist[length]),
-            GROUP_HIST,
-            "hist_global",
-            f"hist_{length}",
-        )
-    return schema, columns, node_hist["today"]
+        j = self._history_at
+        for w in range(len(_HISTORY_WINDOWS)):
+            for counts in windows:
+                X[:, j] = np.log1p(counts[w])
+                j += 1
+        return X, windows[0][0]
 
 
-def _alloc_history(run_idx: np.ndarray, node_hist_today: np.ndarray) -> np.ndarray:
-    """Mean node history over each run's nodes (needs *all* rows at once)."""
-    run_compact, run_pos = np.unique(run_idx, return_inverse=True)
-    sums = np.bincount(run_pos, weights=node_hist_today.astype(float))
+def window_counts(
+    index: HistoryIndex, keys: np.ndarray | None, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SBE counts over the today / yesterday / before windows of each start.
+
+    One "strictly before" query over the stacked window edges
+    ``start - 2d``, ``start - 1d`` and ``start``; each window is the
+    difference of two edge counts.  ``keys=None`` counts machine-wide.
+    """
+    n = start.size
+    edges = np.concatenate([start - 2 * MINUTES_PER_DAY, start - MINUTES_PER_DAY, start])
+    before = index.counts_before(
+        None if keys is None else np.concatenate((keys, keys, keys)), edges
+    )
+    return (
+        before[2 * n :] - before[n : 2 * n],
+        before[n : 2 * n] - before[:n],
+        before[:n],
+    )
+
+
+def alloc_history(run_idx: np.ndarray, node_today: np.ndarray) -> np.ndarray:
+    """Mean node history over each run's nodes (needs *all* rows of a run)."""
+    _, run_pos = np.unique(run_idx, return_inverse=True)
+    sums = np.bincount(run_pos, weights=node_today.astype(float))
     counts = np.bincount(run_pos).astype(float)
     return np.log1p(sums[run_pos] / counts[run_pos])
 
 
-def _history_indices_from_arrays(
+def _history_indices(
     job_id: np.ndarray,
     node_id: np.ndarray,
     end_minute: np.ndarray,
@@ -288,60 +316,11 @@ def _history_indices_from_arrays(
     row order) — the out-of-core builder does the latter, which is what
     keeps its pass over a segmented store memory-bounded.
     """
-    nodes, minutes, counts = dedupe_job_events(job_id, node_id, end_minute, sbe_count)
-    node_index = HistoryIndex(nodes, minutes, counts)
-    # App-keyed events reuse the deduped (job, node) events but need
-    # the app of each event; map via (job, node) -> app from samples.
-    app_of = {}
-    for job, node, app in zip(
-        np.asarray(job_id, dtype=int),
-        np.asarray(node_id, dtype=int),
-        np.asarray(app_id, dtype=int),
-    ):
-        app_of[(job, node)] = app
-    # Rebuild keyed-by-app arrays by re-deriving job ids from samples:
-    # dedupe_job_events lost them, so recompute with jobs retained.
-    jobs, nodes2, minutes2, counts2 = _dedupe_with_jobs(
-        job_id, node_id, end_minute, sbe_count
+    events = dedupe_job_events(job_id, node_id, end_minute, sbe_count, app_id)
+    return (
+        HistoryIndex(events.node_ids, events.minutes, events.counts),
+        HistoryIndex(events.app_ids, events.minutes, events.counts),
     )
-    apps = np.asarray(
-        [app_of[(int(j), int(nd))] for j, nd in zip(jobs, nodes2)], dtype=int
-    )
-    app_index = HistoryIndex(apps, minutes2, counts2)
-    return node_index, app_index
-
-
-def _dedupe_with_jobs(
-    job_id: np.ndarray,
-    node_id: np.ndarray,
-    end_minute: np.ndarray,
-    sbe_count: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Like :func:`dedupe_job_events` but also returning job ids."""
-    job_ids = np.asarray(job_id, dtype=int)
-    node_ids = np.asarray(node_id, dtype=int)
-    end_minutes = np.asarray(end_minute, dtype=float)
-    sbe_counts = np.asarray(sbe_count, dtype=np.int64)
-    positive = sbe_counts > 0
-    job_ids, node_ids, end_minutes, sbe_counts = (
-        job_ids[positive],
-        node_ids[positive],
-        end_minutes[positive],
-        sbe_counts[positive],
-    )
-    if job_ids.size == 0:
-        empty = np.empty(0, dtype=int)
-        return empty, empty, np.empty(0), np.empty(0, dtype=np.int64)
-    order = np.lexsort((end_minutes, node_ids, job_ids))
-    job_s, node_s, end_s, cnt_s = (
-        job_ids[order],
-        node_ids[order],
-        end_minutes[order],
-        sbe_counts[order],
-    )
-    is_last = np.ones(job_s.size, dtype=bool)
-    is_last[:-1] = (job_s[:-1] != job_s[1:]) | (node_s[:-1] != node_s[1:])
-    return job_s[is_last], node_s[is_last], end_s[is_last], cnt_s[is_last]
 
 
 def build_features(
@@ -402,8 +381,8 @@ def build_features_from_store(
 
     1. accumulate the global app frequency table and collect the (rare)
        positive rows that seed the causal history indices;
-    2. compute every per-row feature chunk-by-chunk via the same
-       :func:`_chunk_columns` the batch builder uses, scattering rows
+    2. assemble every per-row feature chunk-by-chunk with the same
+       :class:`FeatureAssembler` the batch builder uses, scattering rows
        into their global positions, then finish the allocation-history
        column on the full (scalar-per-row) scratch arrays.
 
@@ -452,62 +431,32 @@ def build_features_from_store(
         )
     # Same array np.bincount would produce over the full table, so the
     # (tie-sensitive) argsort ranking matches the batch builder's.
-    top_apps = np.argsort(app_counts)[::-1][: int(top_k_apps)]
+    assembler = FeatureAssembler(
+        machine, np.argsort(app_counts)[::-1][: int(top_k_apps)]
+    )
     dest_p, job_p, node_p, end_p, sbe_p, app_p = (
         np.concatenate([part[i] for part in positive_parts])
         for i in range(6)
     )
     order = np.argsort(dest_p)
-    node_index, app_index = _history_indices_from_arrays(
+    node_index, app_index = _history_indices(
         job_p[order], node_p[order], end_p[order], sbe_p[order], app_p[order]
     )
 
     # Pass 2: per-row features chunk-by-chunk, scattered to global rows.
-    schema: FeatureSchema | None = None
-    X: np.ndarray | None = None
-    hist_today = None
+    X = np.empty((total, len(assembler.schema)))
+    node_today = np.empty(total, dtype=np.int64)
     y = np.empty(total, dtype=np.int64)
-    meta = {
-        "run_idx": np.empty(total, dtype=np.int64),
-        "job_id": np.empty(total, dtype=np.int64),
-        "node_id": np.empty(total, dtype=np.int64),
-        "app_id": np.empty(total, dtype=np.int64),
-        "start_minute": np.empty(total, dtype=float),
-        "end_minute": np.empty(total, dtype=float),
-        "duration_minutes": np.empty(total, dtype=float),
-        "n_nodes": np.empty(total, dtype=np.int64),
-        "gpu_core_hours": np.empty(total, dtype=float),
-        "sbe_count": np.empty(total, dtype=np.int64),
-    }
+    meta = {name: np.empty(total, dtype=dtype) for name, dtype in _META_COLUMNS.items()}
     for index in range(num_segments):
         s = store.segment_samples(index)
-        seg_schema, columns, seg_hist_today = _chunk_columns(
-            s, machine, top_apps, node_index, app_index
-        )
-        if X is None:
-            schema = seg_schema
-            schema.add("hist_alloc_today", GROUP_HIST, "hist_local", "hist_today")
-            X = np.empty((total, len(schema)), dtype=float)
-            hist_today = np.empty(total, dtype=seg_hist_today.dtype)
         d = dests[index]
-        for j, column in enumerate(columns):
-            X[d, j] = column
-        hist_today[d] = seg_hist_today
-        y[d] = (s["sbe_count"] > 0).astype(int)
-        meta["run_idx"][d] = s["run_idx"].astype(int)
-        meta["job_id"][d] = s["job_id"].astype(int)
-        meta["node_id"][d] = s["node_id"].astype(int)
-        meta["app_id"][d] = s["app_id"].astype(int)
-        meta["start_minute"][d] = s["start_minute"].astype(float)
-        meta["end_minute"][d] = s["end_minute"].astype(float)
-        meta["duration_minutes"][d] = s["duration_minutes"].astype(float)
-        meta["n_nodes"][d] = s["n_nodes"].astype(int)
-        meta["gpu_core_hours"][d] = s["gpu_core_hours"].astype(float)
-        meta["sbe_count"][d] = s["sbe_count"].astype(np.int64)
-    X[:, len(schema) - 1] = np.asarray(
-        _alloc_history(meta["run_idx"], hist_today), dtype=float
-    )
-    matrix = FeatureMatrix(X=X, y=y, schema=schema, meta=meta)
+        X[d], node_today[d] = assembler.assemble(s, node_index, app_index)
+        y[d] = s["sbe_count"] > 0
+        for name, column in meta.items():
+            column[d] = s[name]
+    X[:, -1] = alloc_history(meta["run_idx"], node_today)
+    matrix = FeatureMatrix(X=X, y=y, schema=assembler.schema, meta=meta)
     spans.stop()
     _record_feature_metrics("store", matrix, spans)
     return matrix

@@ -13,9 +13,11 @@ Sharding model
 Each shard is one :class:`~repro.serve.worker.ScorerWorker` — the exact
 loop body ``serve_replay`` runs — behind an ``asyncio.Queue``:
 
-* ``RunStarted`` / ``RunCompleted`` split **row-wise by node owner**:
-  each shard receives only the rows whose node it owns (rows keep their
-  original order, so per-row features are unchanged by the split);
+* ``RunCompleted`` splits **row-wise by node owner**: each shard
+  receives only the rows whose node it owns, in their original order;
+* ``RunStarted`` goes **whole** to every shard that owns one of its
+  rows: the allocation-history feature is a mean over all of the run's
+  nodes, so a shard holding part of a run still needs the full list;
 * ``SbeObserved`` / ``JobResolved`` **broadcast to every shard**: the
   feature engine's SBE history is machine-global (neighbourhood error
   pressure), so every shard must observe every error event to compute
@@ -301,9 +303,10 @@ class Gateway:
     def _route(self, event):
         """Yield (shard_id, sub_event, is_primary) deliveries for an event.
 
-        Run events split row-wise by node owner; SBE/label events
-        broadcast (machine-global feature history).  With one shard the
-        original event object passes through untouched.
+        Run completions split row-wise by node owner and run starts go
+        whole to each owning shard; SBE/label events broadcast
+        (machine-global feature history).  With one shard the original
+        event object passes through untouched.
         """
         n = len(self.workers)
         if isinstance(event, (SbeObserved, JobResolved)):
@@ -319,22 +322,11 @@ class Gateway:
                 yield shard_id, event, shard_id == primary
             return
         if isinstance(event, RunStarted):
-            owners = np.asarray(
-                [self.ring.route(int(node)) for node in event.node_ids], dtype=int
-            )
+            # Delivered whole: each owning shard needs every node of the
+            # run for the allocation-history mean.
+            owners = [self.ring.route(int(node)) for node in event.node_ids]
             for shard_id in _owner_order(owners):
-                mask = owners == shard_id
-                if mask.all():
-                    sub = event
-                else:
-                    sub = RunStarted(
-                        minute=event.minute,
-                        run_idx=event.run_idx,
-                        node_ids=event.node_ids[mask],
-                        app_ids=event.app_ids[mask],
-                        start_minutes=event.start_minutes[mask],
-                    )
-                yield shard_id, sub, shard_id == owners[0]
+                yield shard_id, event, shard_id == owners[0]
             return
         if isinstance(event, RunCompleted):
             nodes = np.asarray(event.rows["node_id"], dtype=int)

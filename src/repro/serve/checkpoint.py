@@ -41,7 +41,7 @@ from repro.utils.io import (
 __all__ = ["CheckpointManager", "CheckpointInfo", "CHECKPOINT_FORMAT"]
 
 #: Bump when the pickled state bundle's layout changes incompatibly.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.json$")
 

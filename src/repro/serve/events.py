@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.features.history import dedupe_job_events
 from repro.telemetry.trace import SAMPLE_TELEMETRY_COLUMNS, Trace
 
 __all__ = [
@@ -62,9 +63,12 @@ ROW_COLUMNS: tuple[str, ...] = (
 class RunStarted:
     """An aprun was placed on the machine.
 
-    Carries the per-sample-row node/app/start arrays (one entry per
-    surviving samples-table row of the run) because the history features
-    are evaluated at start time, row by row.
+    Carries the per-sample-row node/app/start arrays, one entry per
+    surviving samples-table row of the run.  The feature engine uses it
+    to check that every completion has a start, and for the allocation
+    history: the mean node history over *all* of the run's nodes, which
+    a gateway shard completing only its own rows cannot see otherwise.
+    History itself is evaluated at completion.
     """
 
     minute: float
@@ -177,38 +181,15 @@ def iter_trace_events(trace: Trace):
         )
 
     # --- per-(job, node) SBE events, deduped like the batch builder ----
-    positive = counts > 0
-    if positive.any():
-        jobs_p = job_id[positive]
-        nodes_p = node_id[positive]
-        ends_p = end[positive]
-        counts_p = counts[positive]
-        order = np.lexsort((ends_p, nodes_p, jobs_p))
-        job_s, node_s, end_s, cnt_s = (
-            jobs_p[order],
-            nodes_p[order],
-            ends_p[order],
-            counts_p[order],
-        )
-        is_last = np.ones(job_s.size, dtype=bool)
-        is_last[:-1] = (job_s[:-1] != job_s[1:]) | (node_s[:-1] != node_s[1:])
-        # App attribution matches the batch builder: the last samples-table
-        # occurrence of each (job, node) wins.
-        app_of: dict[tuple[int, int], int] = {}
-        for j, nd, ap in zip(job_id, node_id, app_id):
-            app_of[(int(j), int(nd))] = int(ap)
-        for j, nd, minute, count in zip(
-            job_s[is_last], node_s[is_last], end_s[is_last], cnt_s[is_last]
-        ):
-            push(
-                SbeObserved(
-                    minute=float(minute),
-                    job_id=int(j),
-                    node_id=int(nd),
-                    app_id=app_of[(int(j), int(nd))],
-                    count=int(count),
-                )
-            )
+    sbe = dedupe_job_events(job_id, node_id, end, counts, app_id)
+    for j, nd, ap, minute, count in zip(
+        sbe.job_ids.tolist(),
+        sbe.node_ids.tolist(),
+        sbe.app_ids.tolist(),
+        sbe.minutes.tolist(),
+        sbe.counts.tolist(),
+    ):
+        push(SbeObserved(minute=minute, job_id=j, node_id=nd, app_id=ap, count=count))
 
     # --- per-job label resolution (zeros included) ---------------------
     for jid in np.unique(job_id):

@@ -1,5 +1,7 @@
 """Tests for causal SBE history indices."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,25 +14,84 @@ from repro.utils.errors import ValidationError
 class TestDedupeJobEvents:
     def test_collapses_multi_aprun_jobs(self):
         # Job 1 has two apruns on node 5, both carrying the job delta 3.
-        nodes, minutes, counts = dedupe_job_events(
+        events = dedupe_job_events(
             job_ids=np.array([1, 1, 2]),
             node_ids=np.array([5, 5, 5]),
             end_minutes=np.array([100.0, 200.0, 300.0]),
             sbe_counts=np.array([3, 3, 1]),
+            app_ids=np.array([0, 0, 0]),
         )
-        assert nodes.tolist() == [5, 5]
-        assert minutes.tolist() == [200.0, 300.0]
-        assert counts.tolist() == [3, 1]
+        assert events.node_ids.tolist() == [5, 5]
+        assert events.minutes.tolist() == [200.0, 300.0]
+        assert events.counts.tolist() == [3, 1]
 
     def test_drops_zero_counts(self):
-        nodes, minutes, counts = dedupe_job_events(
-            np.array([1]), np.array([2]), np.array([50.0]), np.array([0])
+        events = dedupe_job_events(
+            np.array([1]), np.array([2]), np.array([50.0]), np.array([0]), np.array([0])
         )
-        assert nodes.size == 0
+        assert events.node_ids.size == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            dedupe_job_events(np.array([1]), np.array([1, 2]), np.array([1.0]), np.array([1]))
+            dedupe_job_events(
+                np.array([1]), np.array([1, 2]), np.array([1.0]), np.array([1]), np.array([0])
+            )
+
+    def test_job_ids_and_last_occurrence_app(self):
+        # (job 7, node 2) appears three times; the last table row (app 9,
+        # a zero-count row) names the event's app, the latest positive
+        # row (minute 40) stamps it.
+        events = dedupe_job_events(
+            job_ids=np.array([7, 7, 3, 7]),
+            node_ids=np.array([2, 2, 4, 2]),
+            end_minutes=np.array([40.0, 10.0, 5.0, 50.0]),
+            sbe_counts=np.array([2, 2, 1, 0]),
+            app_ids=np.array([1, 5, 6, 9]),
+        )
+        assert events.job_ids.tolist() == [3, 7]
+        assert events.node_ids.tolist() == [4, 2]
+        assert events.app_ids.tolist() == [6, 9]
+        assert events.minutes.tolist() == [5.0, 40.0]
+        assert events.counts.tolist() == [1, 2]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+                st.integers(0, 3),
+                st.integers(0, 5),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sort_and_dict_oracle(self, rows):
+        """The one vectorized helper equals the former per-caller copies:
+        a positive-row lexsort dedupe plus a row-by-row app dict."""
+        job, node, end, count, app = (
+            np.array([r[i] for r in rows], dtype=float if i == 2 else int)
+            for i in range(5)
+        )
+        events = dedupe_job_events(job, node, end, count, app)
+        app_of = {}
+        for j, nd, ap in zip(job.tolist(), node.tolist(), app.tolist()):
+            app_of[(j, nd)] = ap
+        positive = count > 0
+        order = np.lexsort((end[positive], node[positive], job[positive]))
+        j_s, n_s, e_s, c_s = (
+            a[positive][order] for a in (job, node, end, count)
+        )
+        last = np.ones(j_s.size, dtype=bool)
+        last[:-1] = (j_s[:-1] != j_s[1:]) | (n_s[:-1] != n_s[1:])
+        assert events.job_ids.tolist() == j_s[last].tolist()
+        assert events.node_ids.tolist() == n_s[last].tolist()
+        assert events.minutes.tolist() == e_s[last].tolist()
+        assert events.counts.tolist() == c_s[last].tolist()
+        assert events.app_ids.tolist() == [
+            app_of[key] for key in zip(j_s[last].tolist(), n_s[last].tolist())
+        ]
 
 
 class TestHistoryIndex:
@@ -108,20 +169,124 @@ class TestHistoryIndex:
             assert index.count_between(key, lo, hi) == expected
 
 
-class TestIncrementalHistoryIndex:
-    def test_requires_nondecreasing_minutes(self):
-        from repro.features.history import IncrementalHistoryIndex
+class PerRowOracle:
+    """The former event-at-a-time index: per-key lists and ``bisect``.
 
-        index = IncrementalHistoryIndex()
+    Streaming history was answered with one :meth:`count_between` call
+    per row and window; the vectorized :class:`HistoryIndex` must agree
+    with it exactly.
+    """
+
+    def __init__(self, events):
+        self.times: dict[int, list[float]] = {}
+        self.cums: dict[int, list[int]] = {}
+        self.all_times: list[float] = []
+        self.all_cums: list[int] = []
+        for key, minute, count in sorted(events, key=lambda e: e[1]):
+            for times, cums in (
+                (self.times.setdefault(key, []), self.cums.setdefault(key, [])),
+                (self.all_times, self.all_cums),
+            ):
+                times.append(minute)
+                cums.append((cums[-1] if cums else 0) + count)
+
+    @staticmethod
+    def _window(times, cums, start, end):
+        hi, lo = bisect_left(times, end), bisect_left(times, start)
+        return (cums[hi - 1] if hi else 0) - (cums[lo - 1] if lo else 0)
+
+    def count_between(self, key, start, end):
+        return self._window(
+            self.times.get(key, []), self.cums.get(key, []), start, end
+        )
+
+    def global_between(self, start, end):
+        return self._window(self.all_times, self.all_cums, start, end)
+
+
+_events = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        # Few distinct minutes, so ties are common.
+        st.sampled_from([0.0, 1.0, 2.5, 10.0, 1440.0, 2880.0]),
+        st.integers(1, 5),
+    ),
+    max_size=30,
+)
+_bounds = st.sampled_from([-np.inf, 0.0, 1.0, 2.5, 5.0, 10.0, 1440.0, 2880.0, 4000.0])
+
+
+class TestVectorizedIndexDifferential:
+    @given(_events, st.lists(st.tuples(st.integers(0, 7), _bounds, _bounds), max_size=20))
+    @settings(max_examples=120, deadline=None)
+    def test_vectorized_equals_per_row_oracle(self, events, queries):
+        # Keys 6 and 7 never hold an event; an empty event list is drawn too.
+        oracle = PerRowOracle(events)
+        index = HistoryIndex(
+            np.array([e[0] for e in events], dtype=int),
+            np.array([e[1] for e in events], dtype=float),
+            np.array([e[2] for e in events], dtype=int),
+        )
+        keys = np.array([q[0] for q in queries], dtype=int)
+        lo = np.array([min(q[1], q[2]) for q in queries], dtype=float)
+        hi = np.array([max(q[1], q[2]) for q in queries], dtype=float)
+        expected = [oracle.count_between(*q) for q in zip(keys.tolist(), lo, hi)]
+        assert index.batch_between(keys, lo, hi).tolist() == expected
+        assert index.global_batch_between(lo, hi).tolist() == [
+            oracle.global_between(a, b) for a, b in zip(lo, hi)
+        ]
+        assert index.counts_before(keys, hi).tolist() == [
+            oracle.count_between(k, -np.inf, b) for k, b in zip(keys.tolist(), hi)
+        ]
+
+    @given(_events, st.lists(st.tuples(st.integers(0, 7), _bounds), max_size=20))
+    @settings(max_examples=120, deadline=None)
+    def test_array_built_equals_added(self, events, queries):
+        events = sorted(events, key=lambda e: e[1])  # arrival order
+        built = HistoryIndex(
+            np.array([e[0] for e in events], dtype=int),
+            np.array([e[1] for e in events], dtype=float),
+            np.array([e[2] for e in events], dtype=int),
+        )
+        added = HistoryIndex()
+        for i, (key, minute, count) in enumerate(events):
+            added.add(key, minute, count)
+            if i % 3 == 0:  # queries interleaved with adds
+                added.counts_before(None, [minute])
+        keys = np.array([q[0] for q in queries], dtype=int)
+        minutes = np.array([q[1] for q in queries], dtype=float)
+        assert len(added) == len(built) == len(events)
+        assert added.last_minute == built.last_minute
+        assert (
+            added.counts_before(keys, minutes).tolist()
+            == built.counts_before(keys, minutes).tolist()
+        )
+        assert (
+            added.counts_before(None, minutes).tolist()
+            == built.counts_before(None, minutes).tolist()
+        )
+        for minute in minutes.tolist():
+            assert added.keys_before(minute).tolist() == built.keys_before(minute).tolist()
+
+    def test_keys_outside_code_range_rejected(self):
+        with pytest.raises(ValidationError):
+            HistoryIndex(np.array([2**31]), np.array([0.0]), np.array([1]))
+        with pytest.raises(ValidationError):
+            HistoryIndex().counts_before(np.array([-(2**31)]), np.array([0.0]))
+
+
+class TestIncrementalHistoryIndex:
+    """:meth:`HistoryIndex.add` feeds events one at a time."""
+
+    def test_requires_nondecreasing_minutes(self):
+        index = HistoryIndex()
         index.add(1, 10.0, 2)
         index.add(2, 10.0, 1)  # equal minutes are fine
         with pytest.raises(ValidationError):
             index.add(1, 9.0, 1)
 
     def test_empty_index_counts_zero(self):
-        from repro.features.history import IncrementalHistoryIndex
-
-        index = IncrementalHistoryIndex()
+        index = HistoryIndex()
         assert len(index) == 0
         assert index.count_between(5, 0.0, 100.0) == 0
         assert index.global_before(1e9) == 0
@@ -144,15 +309,13 @@ class TestIncrementalHistoryIndex:
     def test_matches_batch_index_on_sorted_events(self, events, a, b):
         """Feeding the same events one at a time must reproduce the batch
         index's window semantics exactly (the streaming-parity substrate)."""
-        from repro.features.history import IncrementalHistoryIndex
-
         lo, hi = min(a, b), max(a, b)
         events = sorted(events, key=lambda e: e[1])  # arrival order
         keys = np.array([e[0] for e in events])
         minutes = np.array([e[1] for e in events])
         counts = np.array([e[2] for e in events])
         batch = HistoryIndex(keys, minutes, counts)
-        incremental = IncrementalHistoryIndex()
+        incremental = HistoryIndex()
         for key, minute, count in events:
             incremental.add(key, minute, count)
         assert len(incremental) == len(events)

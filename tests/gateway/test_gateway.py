@@ -2,6 +2,7 @@
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.gateway import (
@@ -164,6 +165,36 @@ class TestChaosFleet:
         engine = chaos_runs[0].alarm_engine
         assert engine.positives_seen > len(engine.alarms)
         assert engine.deduplicated > 0
+
+
+class TestShardedRowParity:
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_every_streamed_row_equals_the_batch_row(
+        self, tiny_trace, tiny_features, splits, tmp_path, shards
+    ):
+        gateway, _ = drive(tiny_trace, splits, tmp_path, shards=shards)
+        assert gateway.stats.zero_drop
+        assert all(worker.history_rows for worker in gateway.workers)
+        streamed = {
+            (row.run_idx, row.node_id): row.features
+            for worker in gateway.workers
+            for row in worker.history_rows
+        }
+        assert len(streamed) == tiny_features.num_samples  # one shard per row
+        X = np.vstack(
+            [
+                streamed[key]
+                for key in zip(
+                    tiny_features.meta["run_idx"].tolist(),
+                    tiny_features.meta["node_id"].tolist(),
+                )
+            ]
+        )
+        differs = (X != tiny_features.X).any(axis=1)
+        assert not differs.any(), (
+            f"{int(differs.sum())} of {tiny_features.num_samples} rows differ "
+            f"at {shards} shards"
+        )
 
 
 class TestRollingSwap:

@@ -48,6 +48,27 @@ class TestCheckpointManager:
             events, _ = manager.load_latest(expected_key="k")
         assert events == 100
 
+    def test_format_2_checkpoint_skipped_never_resumed(self, tmp_path):
+        # Format 2 pickled the engine's pre-merge history index; its
+        # state must not be loaded into the current engine.
+        import json
+
+        from repro.serve.checkpoint import CHECKPOINT_FORMAT
+
+        assert CHECKPOINT_FORMAT == 3
+        manager = CheckpointManager(tmp_path)
+        manager.save(200, {"n": 2}, key="k")
+        manifest = tmp_path / "ckpt-00000200.json"
+        old = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**old, "format": 2}))
+        with pytest.warns(DegradedDataWarning, match="incompatible checkpoint"):
+            with pytest.raises(ValidationError, match="nothing to resume"):
+                manager.load_latest(expected_key="k")
+        manager.save(100, {"n": 1}, key="k")
+        with pytest.warns(DegradedDataWarning, match=r"\(format 2\)"):
+            events, state = manager.load_latest(expected_key="k")
+        assert (events, state["n"]) == (100, 1)
+
     def test_tampered_payload_fails_checksum(self, tmp_path):
         from repro.utils.errors import TraceIOError
 

@@ -9,7 +9,9 @@ against the plain trace, and a scripted regime change must shard to the
 serial bits), the fault injector stack twice on top, and the online
 serve-replay path twice
 (each against a fresh registry root), then compares content hashes of
-the trace arrays, the fault logs, and the replay reports.  A
+the trace arrays, the fault logs, and the replay reports.  The gateway
+must reproduce the replay's scored-alert digest at one shard, and at
+two shards every streamed feature row must equal ``build_features``.  A
 scoring-kernel backend-parity leg then replays once under the numba
 kernel (skipped cleanly when numba is absent): its digest must be
 bit-identical to the numpy replay, since the backends promise exact
@@ -48,6 +50,7 @@ import numpy as np
 from repro.experiments.presets import PRESETS, preset_config, split_plan
 from repro.scenarios import Scenario, scenario_preset
 from repro.faults import FaultSpec, inject_faults
+from repro.features.builder import build_features
 from repro.features.splits import make_paper_splits
 from repro.gateway import GatewayConfig, build_gateway, run_fleet
 from repro.ml.kernels import numba_available, use_backend
@@ -205,13 +208,13 @@ def main(argv: list[str] | None = None) -> int:
 
     print("gateway vs replay parity (1 shard, 1 client) ...", flush=True)
 
-    async def run_gateway_once():
+    async def run_gateway_once(shards):
         with tempfile.TemporaryDirectory() as root:
             gateway = build_gateway(
                 trace_a,
                 root,
                 splits=splits,
-                config=GatewayConfig(shards=1, batch_size=64),
+                config=GatewayConfig(shards=shards, batch_size=64),
                 fast=True,
             )
             await gateway.start()
@@ -219,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
             await gateway.close()
             return gateway
 
-    gateway = asyncio.run(run_gateway_once())
+    gateway = asyncio.run(run_gateway_once(1))
     if gateway.scored_alert_digest() == clean_report.scored_alert_digest():
         print(
             f"  gateway parity ok (scored-alert digest "
@@ -238,6 +241,28 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         print(f"  GATEWAY DROPPED EVENTS: {gateway.stats.to_dict()}")
+        failures += 1
+
+    print("gateway per-row features at 2 shards vs build_features ...", flush=True)
+    sharded = asyncio.run(run_gateway_once(2))
+    batch = build_features(trace_a)
+    streamed = {
+        (row.run_idx, row.node_id): row.features
+        for worker in sharded.workers
+        for row in worker.history_rows
+    }
+    keys = zip(batch.meta["run_idx"].tolist(), batch.meta["node_id"].tolist())
+    differing = sum(
+        key not in streamed or bool((streamed[key] != x).any())
+        for key, x in zip(keys, batch.X)
+    )
+    if differing == 0 and len(streamed) == batch.num_samples:
+        print(f"  2-shard rows ok (all {batch.num_samples} equal build_features)")
+    else:
+        print(
+            f"  2-SHARD ROW MISMATCH: {differing} of {batch.num_samples} rows "
+            f"differ, {len(streamed)} streamed"
+        )
         failures += 1
 
     print("scoring-kernel backend parity (numpy vs numba) ...", flush=True)
