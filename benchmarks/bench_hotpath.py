@@ -7,8 +7,7 @@ Measures single-core GBDT batch-scoring throughput three ways and seeds
 * **kernel legs** — raw margin computation (binned codes in, scores
   out) at the serving micro-batch sizes (32, 256) and in bulk, for the
   legacy per-tree loop (the pre-kernel ``benchmarks/bench_serve.py``
-  scoring path) against the flattened numpy kernel, plus numba when
-  installed;
+  scoring path) against the flattened numpy kernel;
 * **microbatch leg** — the end-to-end serve path
   (:class:`~repro.serve.scorer.MicroBatchScorer`: queue + fused row
   assembly + TwoStage prediction) under both scoring paths;
@@ -58,7 +57,7 @@ def _best_seconds(fn, *, repeats: int, min_rows: int, batch_rows: int) -> float:
 
 def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
     """Per-tree loop vs flat kernels on the raw scoring hot path."""
-    from repro.ml.kernels import numba_available, predict_raw
+    from repro.ml.kernels import predict_raw
 
     entries = []
     for batch_rows in (*MICRO_BATCH_SIZES, bulk_rows):
@@ -73,13 +72,12 @@ def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
                 raw += gb.learning_rate * tree.predict_binned(binned)
             return raw
 
-        def flat(backend="numpy"):
+        def flat():
             return predict_raw(
                 gb._flat,
                 binned,
                 base_score=gb._base_score,
                 learning_rate=gb.learning_rate,
-                backend=backend,
             )
 
         assert np.array_equal(pertree(), flat()), "kernel broke bit-identity"
@@ -91,25 +89,16 @@ def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
         entries.append(
             {"label": f"pertree_{tag}", "rows_per_sec": round(rate_pertree, 1)}
         )
-        backends = ["numpy"] + (["numba"] if numba_available() else [])
-        for backend in backends:
-            if backend == "numba":
-                assert np.array_equal(flat("numba"), flat()), (
-                    "numba kernel broke bit-identity"
-                )
-            seconds = _best_seconds(
-                lambda: flat(backend),
-                repeats=repeats,
-                min_rows=min_rows,
-                batch_rows=batch_rows,
-            )
-            entries.append(
-                {
-                    "label": f"{backend}_{tag}",
-                    "rows_per_sec": round(batch_rows / seconds, 1),
-                    "speedup": round(seconds_pertree / seconds, 2),
-                }
-            )
+        seconds = _best_seconds(
+            flat, repeats=repeats, min_rows=min_rows, batch_rows=batch_rows
+        )
+        entries.append(
+            {
+                "label": f"numpy_{tag}",
+                "rows_per_sec": round(batch_rows / seconds, 1),
+                "speedup": round(seconds_pertree / seconds, 2),
+            }
+        )
     return entries
 
 

@@ -1,17 +1,17 @@
 """The fleet serving gateway: sharded async scoring with alarms.
 
-This is the operational front end ROADMAP item 2 asks for: instead of
-replaying one trace through one scorer (:func:`repro.serve.serve_replay`),
-the gateway accepts a fleet's event stream, routes it across N scorer
-shards by consistent-hashing the node id, folds the resulting alerts
-into operator alarms and per-node score trends, and keeps strict
-zero-drop accounting: every accepted event is either scored, dead-
-lettered, or rejected — never silently lost.
+Instead of replaying one trace through one scorer
+(:func:`repro.serve.serve_replay`), the gateway accepts a fleet's event
+stream, routes it across N scorer shards by consistent-hashing the node
+id, folds the resulting alerts into operator alarms and per-node score
+trends, and keeps strict zero-drop accounting: every accepted event is
+either scored, dead-lettered, or rejected — never silently lost.
 
 Sharding model
 --------------
-Each shard is one :class:`~repro.serve.worker.ScorerWorker` — the exact
-loop body ``serve_replay`` runs — behind an ``asyncio.Queue``:
+Each shard is one :class:`~repro.serve.worker.ScorerWorker` — built by
+the same :class:`~repro.serve.worker.ServingModel` stack ``serve_replay``
+uses — behind an ``asyncio.Queue``:
 
 * ``RunCompleted`` splits **row-wise by node owner**: each shard
   receives only the rows whose node it owns, in their original order;
@@ -26,8 +26,8 @@ loop body ``serve_replay`` runs — behind an ``asyncio.Queue``:
 This makes per-row features bit-identical at any shard count, and with
 one shard the delivered stream is exactly the replay stream — the basis
 for the gateway-vs-replay digest parity gate.  Chaos plans shift their
-seed per shard (``seed + shard_id``) so shard 0 of a 1-shard gateway
-reproduces the replay's chaos draws bit-for-bit.
+seed per shard (``seed + shard_id``); replay is shard 0 of the same
+stack, so a 1-shard gateway draws the replay's chaos bit-for-bit.
 
 Accounting
 ----------
@@ -46,40 +46,28 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.baselines import BasicB
-from repro.core.pipeline import PredictionPipeline
-from repro.core.twostage import TwoStagePredictor
-from repro.features.builder import build_features, compute_top_apps
+from repro.features.builder import build_features
 from repro.features.splits import DatasetSplit
 from repro.gateway.alarms import AlarmConfig, AlarmEngine
 from repro.obs import MetricsRegistry, get_registry
 from repro.gateway.clock import VirtualClock
 from repro.gateway.router import ConsistentHashRing
 from repro.gateway.watcher import RegistryWatcher
-from repro.ml.kernels import set_backend
-from repro.serve.engine import StreamingFeatureEngine
 from repro.serve.events import JobResolved, RunCompleted, RunStarted, SbeObserved
 from repro.serve.drift import DriftConfig, DriftMonitor
 from repro.serve.registry import ModelRegistry
-from repro.serve.resilience import (
-    AllNegativeFallback,
-    ChaosInjector,
-    ChaosPlan,
-    SupervisedScorer,
-)
-from repro.serve.scorer import Alert, ScorerConfig
-from repro.serve.worker import ScorerWorker, scored_alert_digest
+from repro.serve.resilience import ChaosPlan
+from repro.serve.scorer import Alert
+from repro.serve.worker import ScorerWorker, ServingModel, scored_alert_digest
 from repro.telemetry.trace import Trace
 from repro.utils.errors import ValidationError
 
 __all__ = ["GatewayConfig", "GatewayStats", "Gateway", "build_gateway"]
-
-MINUTES_PER_DAY = 1440.0
 
 #: Queue sentinel telling a shard loop to exit.
 _STOP = object()
@@ -107,11 +95,6 @@ class GatewayConfig:
     #: the gateway-vs-replay parity digest and the alarm counts of
     #: drift-off runs byte-identical to before this knob existed.
     drift: DriftConfig | None = None
-    #: Scoring-kernel backend for the shard scorers ("numpy"/"numba").
-    #: ``None`` (the default) keeps the process-wide selection.
-    #: Backends are bit-identical, so the parity digest is
-    #: backend-invariant.
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -546,89 +529,43 @@ def build_gateway(
     chaos: ChaosPlan | None = None,
     clock: VirtualClock | None = None,
 ) -> Gateway:
-    """Train, publish, and wire a gateway exactly like ``serve_replay``.
+    """Train, publish, and wire a gateway on the ``serve_replay`` stack.
 
-    The model pipeline is byte-for-byte the replay preamble: batch
-    features -> split -> :class:`TwoStagePredictor` fit on the training
-    window -> registry save -> checksum-verified load -> per-shard
-    :class:`SupervisedScorer` with the Basic-B / all-negative fallback
-    chain.  That shared preamble (plus the routing rules above) is what
-    makes the single-shard gateway digest bit-identical to replay.
+    Fit, publish, and per-shard workers all come from
+    :class:`~repro.serve.worker.ServingModel`, the stack replay serves
+    from; with the routing rules above, that is what makes the
+    single-shard gateway digest bit-identical to replay.
     """
     config = config or GatewayConfig()
-    if config.backend is not None:
-        set_backend(config.backend)
-    features = build_features(trace, top_k_apps=top_k_apps)
-    pipeline = PredictionPipeline(features, splits)
-    split_obj = pipeline.split(split)
-    train, _ = pipeline.train_test(split)
-    predictor = TwoStagePredictor(model, random_state=random_state, fast=fast)
-    predictor.fit(train)
-
+    fitted = ServingModel.fit(
+        build_features(trace, top_k_apps=top_k_apps),
+        splits,
+        split=split,
+        model=model,
+        random_state=random_state,
+        fast=fast,
+        top_k_apps=top_k_apps,
+    )
     registry = ModelRegistry(registry_root)
-    entry = registry.save_model(
-        predictor,
-        name=registry_name,
-        metadata={
-            "split": split,
-            "model": model,
-            "shards": config.shards,
-            "random_state": random_state,
-            "fast": fast,
-            "top_k_apps": top_k_apps,
-        },
-    )
-    serving, entry = registry.load_model(
-        registry_name, entry.version, expect_feature_names=predictor.feature_names
-    )
-
-    top_apps = compute_top_apps(
-        np.asarray(trace.samples["app_id"], dtype=int), top_k_apps
-    )
-    span = (0.0, trace.config.duration_days * MINUTES_PER_DAY)
-    basic_b = BasicB().fit(train)
-    workers: list[ScorerWorker] = []
-    for shard_id in range(config.shards):
-        injector = (
-            None
-            if chaos is None
-            # Shift the seed per shard so shards draw independent chaos;
-            # shard 0 keeps the plan's own seed, so a 1-shard gateway
-            # reproduces the replay's chaos draws bit-for-bit.
-            else ChaosInjector(
-                replace(chaos, seed=chaos.seed + shard_id), span=span
-            )
-        )
-        engine = StreamingFeatureEngine(trace.machine, top_apps)
-        scorer = SupervisedScorer(
+    serving, version = fitted.publish(registry, registry_name, shards=config.shards)
+    workers = [
+        fitted.worker(
+            trace,
             serving,
-            engine.schema,
-            ScorerConfig(
-                max_batch_size=config.batch_size,
-                flush_deadline_minutes=config.flush_deadline_minutes,
-            ),
-            model_version=entry.version,
-            chaos=injector,
-            fallbacks=[
-                ("basic_b", basic_b),
-                ("all_negative", AllNegativeFallback()),
-            ],
+            version,
+            shard_id=shard_id,
+            batch_size=config.batch_size,
+            flush_deadline_minutes=config.flush_deadline_minutes,
+            chaos=chaos,
         )
-        workers.append(
-            ScorerWorker(
-                engine,
-                scorer,
-                window=(split_obj.train_end, split_obj.test_end),
-                injector=injector,
-            )
-        )
-
+        for shard_id in range(config.shards)
+    ]
     watcher = RegistryWatcher(
         registry,
         registry_name,
         num_shards=config.shards,
-        current_version=entry.version,
-        expect_feature_names=predictor.feature_names,
+        current_version=version,
+        expect_feature_names=fitted.predictor.feature_names,
         poll_interval_minutes=config.watch_interval_minutes,
     )
     return Gateway(workers, config=config, clock=clock, watcher=watcher)

@@ -1,4 +1,4 @@
-"""Hot-path scoring kernels: flattened GBDT ensembles + backend dispatch.
+"""Hot-path scoring kernels: flattened GBDT ensembles.
 
 The from-scratch :class:`~repro.ml.gbdt.GradientBoostingClassifier`
 historically scored with a Python loop over its trees, each tree doing a
@@ -20,43 +20,17 @@ Exactness contract (enforced by tests and the determinism gate):
   operations the per-tree loop performed (``raw += lr * leaf_value``),
   so flattened scores are **bit-identical** to the legacy path — pinned
   replay/gateway/golden digests must not move.
-* The optional numba backend runs the same scalar recurrence per row
-  (no fastmath, no reassociation), so it is bit-identical to numpy too.
-  Where a future backend cannot claim exactness it must document its
-  tolerance in DESIGN.md §15 instead of silently drifting.
-
-Backend selection is process-global (:func:`set_backend` /
-:func:`get_backend`, CLI ``--backend {numpy,numba}``).  Requesting
-``numba`` on a machine without numba falls back to numpy with a
-one-line :class:`KernelBackendWarning` — the numpy path is always the
-digest oracle, so the fallback changes nothing but speed.
 """
 
 from __future__ import annotations
 
-import contextlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.errors import ValidationError
 
-__all__ = [
-    "KERNEL_BACKENDS",
-    "KernelBackendWarning",
-    "FlatForest",
-    "flatten_ensemble",
-    "predict_raw",
-    "traverse",
-    "numba_available",
-    "set_backend",
-    "get_backend",
-    "use_backend",
-]
-
-#: Selectable scoring backends, in fallback order.
-KERNEL_BACKENDS = ("numpy", "numba")
+__all__ = ["FlatForest", "flatten_ensemble", "predict_raw", "traverse"]
 
 #: Rows per traversal chunk: bounds the (n_trees, chunk) temporaries so
 #: huge benchmark batches cannot balloon memory.  Chunking is invisible
@@ -71,68 +45,6 @@ CHUNK_ROWS = 16384
 #: leaves and accumulate in identical order, so the switch can never
 #: change a score bit.
 TREE_MAJOR_MIN_ROWS = 4096
-
-
-class KernelBackendWarning(RuntimeWarning):
-    """A requested scoring backend is unavailable; numpy is used instead."""
-
-
-_BACKEND = "numpy"
-_NUMBA_OK: bool | None = None
-_NUMBA_KERNEL = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can be imported (cached)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except Exception:  # pragma: no cover - depends on environment
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
-
-def set_backend(name: str) -> str:
-    """Select the process-wide scoring backend; returns the effective one.
-
-    Unknown names raise :class:`~repro.utils.errors.ValidationError`.
-    Requesting ``numba`` without numba installed warns once
-    (:class:`KernelBackendWarning`) and keeps numpy — scores are
-    bit-identical either way, so the fallback is purely a speed choice.
-    """
-    global _BACKEND
-    if name not in KERNEL_BACKENDS:
-        raise ValidationError(
-            f"unknown scoring backend: {name!r}; options: {KERNEL_BACKENDS}"
-        )
-    if name == "numba" and not numba_available():
-        warnings.warn(
-            "scoring backend 'numba' unavailable (numba is not importable); "
-            "falling back to the bit-identical 'numpy' kernel",
-            KernelBackendWarning,
-            stacklevel=2,
-        )
-        name = "numpy"
-    _BACKEND = name
-    return _BACKEND
-
-
-def get_backend() -> str:
-    """The currently selected scoring backend name."""
-    return _BACKEND
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily select a backend (tests, determinism parity legs)."""
-    previous = _BACKEND
-    try:
-        yield set_backend(name)
-    finally:
-        set_backend(previous)
 
 
 @dataclass(frozen=True)
@@ -269,13 +181,16 @@ def _traverse_tree(forest: FlatForest, binned: np.ndarray, t: int) -> np.ndarray
     return pos
 
 
-def _predict_raw_numpy(
-    forest: FlatForest,
+def predict_raw(
+    forest: FlatForest | None,
     binned: np.ndarray,
     *,
     base_score: float,
     learning_rate: float,
 ) -> np.ndarray:
+    """Raw ensemble margin per row: ``base + lr * sum(leaf values)``."""
+    if forest is None:
+        return np.full(binned.shape[0], base_score)
     if binned.dtype != np.uint8:
         raise ValidationError("binned matrix must be uint8 bin codes")
     raw = np.full(binned.shape[0], base_score)
@@ -289,82 +204,3 @@ def _predict_raw_numpy(
     for t in range(forest.n_trees):
         raw += learning_rate * forest.value[positions[t]]
     return raw
-
-
-def _numba_kernel():  # pragma: no cover - requires numba
-    """Compile (once) the scalar per-row traversal kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        from numba import njit
-
-        @njit(cache=False)
-        def kernel(feature, threshold, left, right, value, roots, binned, base, lr, out):
-            n_rows = binned.shape[0]
-            n_trees = roots.shape[0]
-            for i in range(n_rows):
-                acc = base
-                for t in range(n_trees):
-                    node = roots[t]
-                    while feature[node] >= 0:
-                        if binned[i, feature[node]] <= threshold[node]:
-                            node = left[node]
-                        else:
-                            node = right[node]
-                    # Same op order as the numpy path: acc += lr * value.
-                    acc = acc + lr * value[node]
-                out[i] = acc
-
-        _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
-
-
-def _predict_raw_numba(
-    forest: FlatForest,
-    binned: np.ndarray,
-    *,
-    base_score: float,
-    learning_rate: float,
-) -> np.ndarray:  # pragma: no cover - requires numba
-    out = np.empty(binned.shape[0], dtype=np.float64)
-    _numba_kernel()(
-        forest.feature,
-        forest.bin_threshold,
-        forest.left,
-        forest.right,
-        forest.value,
-        np.ascontiguousarray(forest.offsets[:-1]),
-        np.ascontiguousarray(binned),
-        float(base_score),
-        float(learning_rate),
-        out,
-    )
-    return out
-
-
-def predict_raw(
-    forest: FlatForest | None,
-    binned: np.ndarray,
-    *,
-    base_score: float,
-    learning_rate: float,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Raw ensemble margin per row: ``base + lr * sum(leaf values)``.
-
-    ``backend=None`` uses the process-wide selection; scores are
-    bit-identical across backends (the numpy path is the oracle).
-    """
-    if forest is None:
-        return np.full(binned.shape[0], base_score)
-    chosen = backend if backend is not None else _BACKEND
-    if chosen not in KERNEL_BACKENDS:
-        raise ValidationError(
-            f"unknown scoring backend: {chosen!r}; options: {KERNEL_BACKENDS}"
-        )
-    if chosen == "numba" and numba_available():  # pragma: no cover
-        return _predict_raw_numba(
-            forest, binned, base_score=base_score, learning_rate=learning_rate
-        )
-    return _predict_raw_numpy(
-        forest, binned, base_score=base_score, learning_rate=learning_rate
-    )

@@ -11,6 +11,9 @@ CLI's ``serve-replay`` subcommand.  It plays one trace twice:
    through the streaming feature engine and the micro-batch scorer,
    alerting on every test-window sample as its run completes.
 
+Both paths come from the serving stack in :mod:`repro.serve.worker`
+(:class:`~repro.serve.worker.ServingModel`), which the gateway shares.
+
 Because the engine is bit-identical to the batch builder and the
 registry round-trip reproduces the fitted model exactly, the online
 alerts must agree with the batch predictions sample-for-sample (the
@@ -50,12 +53,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.baselines import BasicB
-from repro.core.pipeline import PredictionPipeline
 from repro.core.twostage import TwoStagePredictor
-from repro.features.builder import build_features, compute_top_apps
+from repro.features.builder import build_features
 from repro.features.splits import DatasetSplit
-from repro.ml.kernels import set_backend
 from repro.ml.metrics import classification_report
 from repro.serve.checkpoint import CheckpointManager
 from repro.serve.drift import (
@@ -67,20 +67,22 @@ from repro.serve.drift import (
     record_retrain_outcome,
     record_rollback,
 )
-from repro.serve.engine import StreamedRow, StreamingFeatureEngine, rows_to_matrix
-from repro.serve.events import JobResolved, iter_trace_events
+from repro.serve.engine import rows_to_matrix
+from repro.serve.events import iter_trace_events
 from repro.serve.registry import ModelRegistry
 from repro.serve.resilience import (
-    AllNegativeFallback,
-    ChaosInjector,
     ChaosPlan,
     DeadLetter,
     ResilienceConfig,
     ResilienceCounters,
-    SupervisedScorer,
 )
-from repro.serve.scorer import Alert, ScorerConfig, ServeCounters
-from repro.serve.worker import ScorerWorker, scored_alert_digest, update_alert_digest
+from repro.serve.scorer import Alert, ServeCounters
+from repro.serve.worker import (
+    ScorerWorker,
+    ServingModel,
+    scored_alert_digest,
+    update_alert_digest,
+)
 from repro.telemetry.trace import Trace
 from repro.utils.errors import (
     DegradedDataError,
@@ -215,6 +217,13 @@ class ReplayReport:
         """
         return scored_alert_digest(self.alerts)
 
+    @property
+    def end_to_end_rows_per_second(self) -> float:
+        """End-to-end rows streamed per wall second (features, fit, stream)."""
+        if self.wall_seconds <= 0:
+            return 0.0
+        return self.rows_streamed / self.wall_seconds
+
     def __str__(self) -> str:
         c = self.counters
         lines = [
@@ -229,6 +238,8 @@ class ReplayReport:
             f"  mean queue latency {c.mean_queue_minutes:.2f} min (event time)",
             f"  throughput         {c.rows_per_second:,.0f} rows/s"
             f" (scoring wall-clock)",
+            f"  end-to-end         {self.end_to_end_rows_per_second:,.0f} rows/s"
+            f" (whole-run wall-clock: features, fit, stream)",
             f"  positive alerts    {c.positive_alerts}",
             f"  registry versions  {self.registry_versions}"
             f" (retrains: {self.retrains})",
@@ -328,7 +339,6 @@ def serve_replay(
     resume: bool = False,
     crash_after_events: int | None = None,
     strict: bool = False,
-    backend: str | None = None,
 ) -> ReplayReport:
     """Replay ``trace`` through registry + streaming engine + scorer.
 
@@ -360,15 +370,6 @@ def serve_replay(
     :class:`~repro.utils.errors.SimulatedCrashError` after that many
     events — the test hook for the kill-and-resume path.
 
-    ``backend`` selects the process-wide scoring kernel
-    (:func:`repro.ml.kernels.set_backend`) for this and subsequent
-    scoring; ``None`` leaves the current selection alone.  Backends are
-    bit-identical, so the replay digest is the same either way — the
-    choice is recorded in the (undigested) notes.  It is deliberately
-    excluded from the checkpoint compatibility key: a run checkpointed
-    under one backend may resume under the other without changing its
-    digest.
-
     ``strict=True`` escalates every degraded-data self-heal into a
     typed :class:`~repro.utils.errors.DegradedDataError`: a sanitizer
     repair (which normally proceeds under a
@@ -379,9 +380,6 @@ def serve_replay(
     """
     started = time.perf_counter()
     notes: list[str] = []
-    if backend is not None:
-        effective = set_backend(backend)
-        notes.append(f"scoring backend: {effective}")
     if sanitize:
         from repro.faults import sanitize_trace
 
@@ -421,23 +419,19 @@ def serve_replay(
             notes=notes + ["input trace is empty; nothing to replay"],
         )
 
-    injector = (
-        None
-        if chaos is None
-        else ChaosInjector(
-            chaos, span=(0.0, trace.config.duration_days * MINUTES_PER_DAY)
-        )
-    )
-
     # ------------------------------------------------------------- batch
-    features = build_features(trace, top_k_apps=top_k_apps)
-    pipeline = PredictionPipeline(features, splits)
-    split_obj = pipeline.split(split)
-    train, test = pipeline.train_test(split)
-    predictor = TwoStagePredictor(model, random_state=random_state, fast=fast)
-    predictor.fit(train)
-    batch_scores = predictor.decision_scores(test)
-    batch_pred = (batch_scores >= predictor.model.threshold).astype(int)
+    fitted = ServingModel.fit(
+        build_features(trace, top_k_apps=top_k_apps),
+        splits,
+        split=split,
+        model=model,
+        random_state=random_state,
+        fast=fast,
+        top_k_apps=top_k_apps,
+    )
+    test = fitted.test
+    batch_scores = fitted.predictor.decision_scores(test)
+    batch_pred = (batch_scores >= fitted.predictor.model.threshold).astype(int)
     batch_report = classification_report(test.y, batch_pred)
 
     # -------------------------------------------------------- checkpoint
@@ -489,54 +483,16 @@ def serve_replay(
         serving = worker.scorer.predictor
         notes.append(f"resumed from checkpoint at event {resumed_from}")
     else:
-        # -------------------------------------------------------- registry
-        entry = registry.save_model(
-            predictor,
-            name=registry_name,
-            metadata={
-                "split": split,
-                "model": model,
-                "train_start_minute": split_obj.train_start,
-                "train_end_minute": split_obj.train_end,
-                "random_state": random_state,
-                "fast": fast,
-                "top_k_apps": top_k_apps,
-            },
-        )
-        serving, entry = registry.load_model(
-            registry_name,
-            entry.version,
-            expect_feature_names=predictor.feature_names,
-        )
-        versions = [entry.version]
-
-        # ---------------------------------------------------------- stream
-        engine = StreamingFeatureEngine(
-            trace.machine,
-            compute_top_apps(
-                np.asarray(trace.samples["app_id"], dtype=int), top_k_apps
-            ),
-        )
-        scorer = SupervisedScorer(
+        serving, version = fitted.publish(registry, registry_name)
+        versions = [version]
+        worker = fitted.worker(
+            trace,
             serving,
-            engine.schema,
-            ScorerConfig(
-                max_batch_size=batch_size,
-                flush_deadline_minutes=flush_deadline_minutes,
-            ),
-            model_version=entry.version,
+            version,
+            batch_size=batch_size,
+            flush_deadline_minutes=flush_deadline_minutes,
+            chaos=chaos,
             resilience=resilience,
-            chaos=injector,
-            fallbacks=[
-                ("basic_b", BasicB().fit(train)),
-                ("all_negative", AllNegativeFallback()),
-            ],
-        )
-        worker = ScorerWorker(
-            engine,
-            scorer,
-            window=(split_obj.train_end, split_obj.test_end),
-            injector=injector,
         )
         alerts: list[Alert] = []
         retrains = 0
@@ -544,7 +500,7 @@ def serve_replay(
         next_retrain = (
             None
             if retrain_every_days is None
-            else split_obj.train_end + retrain_every_days * MINUTES_PER_DAY
+            else fitted.window.train_end + retrain_every_days * MINUTES_PER_DAY
         )
         monitor = None if drift is None else DriftMonitor(drift)
         governor = None if drift is None else RetrainGovernor(drift)
@@ -555,6 +511,7 @@ def serve_replay(
         None if retrain_window_days is None else retrain_window_days * MINUTES_PER_DAY
     )
     poison_set = frozenset(int(i) for i in poison_retrains)
+    injector = worker.injector
 
     def run_retrain(at: float, trigger: str) -> None:
         """One refit attempt at event-time ``at`` (periodic or drift)."""
@@ -711,7 +668,7 @@ def serve_replay(
             next_retrain += retrain_every_days * MINUTES_PER_DAY
             run_retrain(at, "periodic")
 
-    serve_start = split_obj.train_end
+    serve_start = fitted.window.train_end
 
     def between_events(now_minute: float) -> None:
         nonlocal rows_fed, alerts_fed

@@ -1,15 +1,22 @@
-"""The reusable per-event scorer loop shared by replay and the gateway.
+"""The serving stack shared by replay and the gateway.
 
 :func:`repro.serve.replay.serve_replay` and the fleet gateway
-(:mod:`repro.gateway`) drive exactly the same core: a
-:class:`~repro.serve.engine.StreamingFeatureEngine` feeding a
-:class:`~repro.serve.resilience.SupervisedScorer`, with chaos bursts
-injected ahead of real events, deadline polling against the stream
-clock, label bookkeeping from :class:`~repro.serve.events.JobResolved`,
-and malformed-event quarantine into the dead-letter queue.
+(:mod:`repro.gateway`) serve the same model through the same loop.  This
+module builds both, in three steps:
 
-:class:`ScorerWorker` is that loop body, extracted verbatim from
-``replay.py`` so both callers stay bit-identical: one worker drives one
+1. **fit** (:meth:`ServingModel.fit`) — split a prebuilt feature matrix,
+   fit a :class:`~repro.core.twostage.TwoStagePredictor` on the training
+   window, and fit the Basic-B fallback once;
+2. **publish** (:meth:`ServingModel.publish`) — save the predictor to the
+   model registry and load it back, checksum and feature names verified;
+3. **worker** (:meth:`ServingModel.worker`) — wire one
+   :class:`~repro.serve.engine.StreamingFeatureEngine`, one
+   :class:`~repro.serve.resilience.SupervisedScorer` with the Basic-B /
+   all-negative fallback chain, and one :class:`ScorerWorker` for a
+   shard.  Shard ``k`` draws chaos from seed ``plan.seed + k``; replay is
+   shard 0, so a 1-shard gateway draws exactly the replay's chaos.
+
+:class:`ScorerWorker` is the per-event loop body: one worker drives one
 scorer over one ordered event stream (the whole trace for replay; one
 consistent-hash shard's slice for the gateway).  The worker pickles
 cleanly — it *is* the per-stream state a replay checkpoint commits.
@@ -30,14 +37,37 @@ The exact per-event operation order is part of the digest contract:
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass, replace
 
+import numpy as np
+
+from repro.core.baselines import BasicB
+from repro.core.pipeline import PredictionPipeline
+from repro.core.twostage import TwoStagePredictor
+from repro.features.builder import FeatureMatrix, compute_top_apps
+from repro.features.splits import DatasetSplit
 from repro.serve.engine import StreamedRow, StreamingFeatureEngine
 from repro.serve.events import JobResolved
-from repro.serve.resilience import ChaosInjector, SupervisedScorer
-from repro.serve.scorer import Alert
+from repro.serve.registry import ModelRegistry
+from repro.serve.resilience import (
+    AllNegativeFallback,
+    ChaosInjector,
+    ChaosPlan,
+    ResilienceConfig,
+    SupervisedScorer,
+)
+from repro.serve.scorer import Alert, ScorerConfig
+from repro.telemetry.trace import Trace
 from repro.utils.errors import ValidationError
 
-__all__ = ["ScorerWorker", "update_alert_digest", "scored_alert_digest"]
+__all__ = [
+    "ServingModel",
+    "ScorerWorker",
+    "update_alert_digest",
+    "scored_alert_digest",
+]
+
+MINUTES_PER_DAY = 1440.0
 
 
 def update_alert_digest(hasher, alerts: list[Alert]) -> None:
@@ -166,3 +196,118 @@ class ScorerWorker:
         alerts = list(self.scorer.flush())
         alerts.extend(self.scorer.finalize(self.last_minute))
         return alerts
+
+
+@dataclass
+class ServingModel:
+    """One fitted serving model: the predictor, its fallback, its windows."""
+
+    window: DatasetSplit
+    test: FeatureMatrix
+    predictor: TwoStagePredictor
+    basic_b: BasicB
+    top_k_apps: int
+    #: Training metadata every published version records.
+    metadata: dict
+
+    @classmethod
+    def fit(
+        cls,
+        features: FeatureMatrix,
+        splits: list[DatasetSplit] | None,
+        *,
+        split: str,
+        model: str,
+        random_state: int | None,
+        fast: bool,
+        top_k_apps: int,
+    ) -> ServingModel:
+        """Fit the predictor on ``split``'s training window, plus Basic-B.
+
+        ``top_k_apps`` must be the value ``features`` was built with: the
+        streaming engine ranks the same app vocabulary.
+        """
+        pipeline = PredictionPipeline(features, splits)
+        window = pipeline.split(split)
+        train, test = pipeline.train_test(split)
+        predictor = TwoStagePredictor(model, random_state=random_state, fast=fast)
+        predictor.fit(train)
+        metadata = {
+            "split": split,
+            "model": model,
+            "train_start_minute": window.train_start,
+            "train_end_minute": window.train_end,
+            "random_state": random_state,
+            "fast": fast,
+            "top_k_apps": top_k_apps,
+        }
+        return cls(window, test, predictor, BasicB().fit(train), top_k_apps, metadata)
+
+    def publish(
+        self, registry: ModelRegistry, name: str, **extra
+    ) -> tuple[TwoStagePredictor, int]:
+        """Save, then load back verified; returns (serving model, version).
+
+        ``extra`` adds caller entries (the gateway's shard count) to the
+        recorded training metadata.
+        """
+        entry = registry.save_model(
+            self.predictor, name=name, metadata={**self.metadata, **extra}
+        )
+        serving, entry = registry.load_model(
+            name, entry.version, expect_feature_names=self.predictor.feature_names
+        )
+        return serving, entry.version
+
+    def worker(
+        self,
+        trace: Trace,
+        serving: TwoStagePredictor,
+        version: int,
+        *,
+        shard_id: int = 0,
+        batch_size: int,
+        flush_deadline_minutes: float,
+        chaos: ChaosPlan | None = None,
+        resilience: ResilienceConfig | None = None,
+    ) -> ScorerWorker:
+        """One shard's engine, supervised scorer and worker (test window).
+
+        The chaos injector draws from ``chaos.seed + shard_id``: shards
+        draw independent chaos, and shard 0 draws the plan's own.
+        """
+        injector = (
+            None
+            if chaos is None
+            else ChaosInjector(
+                replace(chaos, seed=chaos.seed + shard_id),
+                span=(0.0, trace.config.duration_days * MINUTES_PER_DAY),
+            )
+        )
+        engine = StreamingFeatureEngine(
+            trace.machine,
+            compute_top_apps(
+                np.asarray(trace.samples["app_id"], dtype=int), self.top_k_apps
+            ),
+        )
+        scorer = SupervisedScorer(
+            serving,
+            engine.schema,
+            ScorerConfig(
+                max_batch_size=batch_size,
+                flush_deadline_minutes=flush_deadline_minutes,
+            ),
+            model_version=version,
+            resilience=resilience,
+            chaos=injector,
+            fallbacks=[
+                ("basic_b", self.basic_b),
+                ("all_negative", AllNegativeFallback()),
+            ],
+        )
+        return ScorerWorker(
+            engine,
+            scorer,
+            window=(self.window.train_end, self.window.test_end),
+            injector=injector,
+        )

@@ -88,6 +88,23 @@ def parity_runs(tiny_trace, splits, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def chaos_parity_runs(tiny_trace, splits, tmp_path_factory):
+    """Single-shard single-client chaos gateway + the chaos replay."""
+    gateway, _ = drive(
+        tiny_trace, splits, tmp_path_factory.mktemp("gw-chaos-parity"), chaos=CHAOS
+    )
+    report = serve_replay(
+        tiny_trace,
+        tmp_path_factory.mktemp("replay-chaos"),
+        splits=splits,
+        batch_size=64,
+        fast=True,
+        chaos=CHAOS,
+    )
+    return gateway, report
+
+
+@pytest.fixture(scope="module")
 def chaos_runs(tiny_trace, splits, tmp_path_factory):
     """The same 2-shard 3-client chaos fleet, run twice."""
     return [
@@ -134,6 +151,18 @@ class TestReplayParity:
         assert {"end_minute", "score", "predicted", "model_version"} <= set(
             trend[0]
         )
+
+    def test_one_shard_gateway_draws_the_replay_chaos(self, chaos_parity_runs):
+        """Shard 0's chaos seed is the plan's own, so the draws coincide."""
+        gateway, report = chaos_parity_runs
+        assert gateway.scored_alert_digest() == report.scored_alert_digest()
+
+        def sources(alerts):
+            return sorted((a.run_idx, a.node_id, a.source) for a in alerts)
+
+        assert sources(gateway.scored_alerts) == sources(report.alerts)
+        injected = gateway.workers[0].scorer.resilience.injected_events
+        assert injected == report.resilience.injected_events > 0
 
 
 class TestChaosFleet:

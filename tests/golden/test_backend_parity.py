@@ -1,14 +1,13 @@
 """Golden guard: ensemble flattening changes no pinned digest.
 
-Three oracles must agree on the canonical evaluation, byte for byte:
+Two oracles must agree on the canonical evaluation, byte for byte:
 
-1. the legacy per-tree scoring loop (``_decision_function_pertree``),
-2. the flattened numpy batch kernel (the default path), and
-3. the numba kernel, when numba is installed (skips cleanly otherwise).
+1. the legacy per-tree scoring loop (``_decision_function_pertree``), and
+2. the flattened batch kernel (the default path).
 
-All three are pinned against the committed golden ``predict`` digest, so
-a kernel change that perturbs even one score bit fails here with the
-backend named.
+Both are pinned against the committed golden ``predict`` digest, so a
+kernel change that perturbs even one score bit fails here with the path
+named.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from repro.features.builder import build_features
 from repro.ml.gbdt import GradientBoostingClassifier
-from repro.ml.kernels import numba_available, use_backend
 from repro.telemetry.simulator import TraceSimulator
 
 from tests.golden.canonical import (
@@ -46,8 +43,7 @@ def _pinned_predict_digest() -> str:
 
 def test_flat_kernel_hits_pinned_predict_digest():
     features, duration_days = _canonical_features()
-    with use_backend("numpy"):
-        result = evaluate_canonical(features, duration_days)
+    result = evaluate_canonical(features, duration_days)
     assert metrics_digest(result) == _pinned_predict_digest()
 
 
@@ -60,14 +56,6 @@ def test_pertree_oracle_hits_pinned_predict_digest(monkeypatch):
         GradientBoostingClassifier._decision_function_pertree,
     )
     result = evaluate_canonical(features, duration_days)
-    assert metrics_digest(result) == _pinned_predict_digest()
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_numba_kernel_hits_pinned_predict_digest():
-    features, duration_days = _canonical_features()
-    with use_backend("numba"):
-        result = evaluate_canonical(features, duration_days)
     assert metrics_digest(result) == _pinned_predict_digest()
 
 
@@ -91,6 +79,3 @@ def test_flat_scores_equal_pertree_scores_on_canonical_model():
     flat = gb.decision_function(test.X)
     pertree = gb._decision_function_pertree(test.X)
     assert np.array_equal(flat, pertree)
-    if numba_available():
-        with use_backend("numba"):
-            assert np.array_equal(gb.decision_function(test.X), pertree)

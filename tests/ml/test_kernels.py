@@ -4,30 +4,19 @@ The core contract: the level-synchronous batch traversal over a
 flattened ensemble (:mod:`repro.ml.kernels`) is **bit-identical** to a
 node-by-node walk of the per-tree ``_TreeArrays`` — for random tree
 topologies (random depths, degenerate single-leaf trees) and for
-constant all-NaN-imputed-style rows — and the numba backend matches the
-numpy oracle exactly on every drawn ensemble.
+constant all-NaN-imputed-style rows.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.twostage import TwoStagePredictor
 from repro.ml import kernels
 from repro.ml.gbdt import GradientBoostingClassifier
-from repro.ml.kernels import (
-    KernelBackendWarning,
-    flatten_ensemble,
-    get_backend,
-    numba_available,
-    predict_raw,
-    set_backend,
-    traverse,
-    use_backend,
-)
+from repro.ml.kernels import flatten_ensemble, predict_raw, traverse
 from repro.ml.tree import GradHessTree, _TreeArrays
 from repro.utils.errors import ValidationError
 
@@ -126,11 +115,6 @@ class TestTraversalProperties:
         got = predict_raw(forest, binned, base_score=base, learning_rate=lr)
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
-        if numba_available():
-            via_numba = predict_raw(
-                forest, binned, base_score=base, learning_rate=lr, backend="numba"
-            )
-            assert np.array_equal(via_numba, expected)
 
     @pytest.mark.parametrize("code", [0, 63, 255])
     def test_constant_imputed_rows(self, code):
@@ -211,9 +195,6 @@ class TestFittedModelParity:
         flat = gb.decision_function(X)
         pertree = gb._decision_function_pertree(X)
         assert np.array_equal(flat, pertree)
-        if numba_available():
-            with use_backend("numba"):
-                assert np.array_equal(gb.decision_function(X), pertree)
 
     def test_refit_invalidates_flat_cache(self, binary_dataset):
         X, y = binary_dataset
@@ -273,47 +254,12 @@ class TestFittedModelParity:
         )
 
 
-class TestBackendSelection:
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        previous = get_backend()
-        yield
-        set_backend(previous)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError, match="unknown scoring backend"):
-            set_backend("cython")
-        assert get_backend() in kernels.KERNEL_BACKENDS
-
-    def test_predict_raw_rejects_unknown_backend(self):
-        trees = _random_trees(np.random.default_rng(0), 1, 2, 2, 1.0)
-        forest = flatten_ensemble(trees)
-        with pytest.raises(ValidationError, match="unknown scoring backend"):
-            predict_raw(
-                forest,
-                np.zeros((2, 2), dtype=np.uint8),
-                base_score=0.0,
-                learning_rate=0.1,
-                backend="fortran",
-            )
-
-    def test_numba_fallback_warns_and_uses_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_OK", False)
-        with pytest.warns(KernelBackendWarning, match="falling back"):
-            effective = set_backend("numba")
-        assert effective == "numpy"
-        assert get_backend() == "numpy"
-
-    def test_use_backend_restores_previous(self):
-        assert get_backend() == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelBackendWarning)
-            with use_backend("numba"):
-                assert get_backend() in kernels.KERNEL_BACKENDS
-        assert get_backend() == "numpy"
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_backend_selectable_when_available(self):
-        with use_backend("numba") as effective:
-            assert effective == "numba"
-            assert get_backend() == "numba"
+class TestKernelStats:
+    def test_kernel_stats_reports_flattened_ensemble(self, tiny_context):
+        train, _ = tiny_context.pipeline.train_test("DS1")
+        predictor = TwoStagePredictor("gbdt", random_state=0, fast=True)
+        predictor.fit(train)
+        stats = predictor.kernel_stats()
+        assert stats["flattened"] is True
+        assert stats["n_trees"] > 0
+        assert stats["n_nodes"] >= stats["n_trees"]

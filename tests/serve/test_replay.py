@@ -57,6 +57,15 @@ class TestOnlineMatchesBatch:
         assert c.size_flushes + c.deadline_flushes + c.final_flushes == c.batches
         assert report.wall_seconds > 0.0
 
+    def test_report_prints_end_to_end_throughput(self, replayed):
+        report, _ = replayed
+        rate = report.end_to_end_rows_per_second
+        assert rate == report.rows_streamed / report.wall_seconds
+        # The whole run includes features and fit, so it is slower than
+        # the scoring-only figure.
+        assert 0.0 < rate < report.counters.rows_per_second
+        assert f"end-to-end         {rate:,.0f} rows/s" in str(report)
+
 
 class TestDeterminism:
     def test_digest_is_stable_across_invocations(

@@ -11,11 +11,8 @@ serve-replay path twice
 (each against a fresh registry root), then compares content hashes of
 the trace arrays, the fault logs, and the replay reports.  The gateway
 must reproduce the replay's scored-alert digest at one shard, and at
-two shards every streamed feature row must equal ``build_features``.  A
-scoring-kernel backend-parity leg then replays once under the numba
-kernel (skipped cleanly when numba is absent): its digest must be
-bit-identical to the numpy replay, since the backends promise exact
-score equality.  The same replay is then
+two shards every streamed feature row must equal ``build_features``.
+The same replay is then
 repeated under a chaos plan (retries, fallbacks, dead-letter replay must
 all be seed-stable), and finally killed mid-stream and resumed from its
 checkpoint — the resumed digest must be bit-identical to the
@@ -53,7 +50,6 @@ from repro.faults import FaultSpec, inject_faults
 from repro.features.builder import build_features
 from repro.features.splits import make_paper_splits
 from repro.gateway import GatewayConfig, build_gateway, run_fleet
-from repro.ml.kernels import numba_available, use_backend
 from repro.parallel.simulate import simulate_trace_sharded
 from repro.serve import ChaosPlan, serve_replay
 from repro.store import (
@@ -264,26 +260,6 @@ def main(argv: list[str] | None = None) -> int:
             f"differ, {len(streamed)} streamed"
         )
         failures += 1
-
-    print("scoring-kernel backend parity (numpy vs numba) ...", flush=True)
-    if not numba_available():
-        print("  numba not installed; skipped (numpy kernel is the digest oracle)")
-    else:
-        with tempfile.TemporaryDirectory() as root, use_backend("numba"):
-            numba_report = serve_replay(
-                trace_a, root, splits=splits, batch_size=64, fast=True
-            )
-        if numba_report.digest() == replay_digests[0]:
-            print(
-                f"  backend parity ok (numba replay digest "
-                f"{numba_report.digest()[:16]}... matches numpy)"
-            )
-        else:
-            print(
-                f"  BACKEND PARITY MISMATCH: numba {numba_report.digest()[:16]} "
-                f"!= numpy {replay_digests[0][:16]}"
-            )
-            failures += 1
 
     print("replaying under chaos twice ...", flush=True)
     chaos = ChaosPlan(intensity=args.intensity, seed=args.fault_seed)
