@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from repro.obs import get_registry
 from repro.utils.errors import NotFittedError, ValidationError
 
 __all__ = ["check_array", "check_X_y", "BaseClassifier"]
@@ -70,6 +73,7 @@ class BaseClassifier:
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BaseClassifier":
         """Fit the classifier on ``X`` (n x d) and binary labels ``y``."""
+        started = time.perf_counter()
         X, y = check_X_y(X, y)
         if np.unique(y).size < 2:
             raise ValidationError(
@@ -78,6 +82,7 @@ class BaseClassifier:
         self._n_features = X.shape[1]
         self._fit(X, y)
         self._fitted = True
+        _record_fit_metrics(type(self).__name__, X.shape[0], time.perf_counter() - started)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -120,6 +125,25 @@ class BaseClassifier:
                 f"expected {self._n_features} features, got {X.shape[1]}"
             )
         return X
+
+
+def _record_fit_metrics(model: str, rows: int, seconds: float) -> None:
+    # Looked up per fit, never stored: fitted models are pickled into the
+    # serving registry and must not carry the process's metrics with them.
+    registry = get_registry()
+    if not registry.enabled:
+        return
+    registry.counter(
+        "repro_ml_fits_total", "Classifier fits completed, per model class."
+    ).inc(model=model)
+    registry.counter(
+        "repro_ml_fit_rows_total", "Training rows fitted, per model class."
+    ).inc(rows, model=model)
+    registry.counter(
+        "repro_ml_fit_seconds_total",
+        "Wall time spent fitting classifiers.",
+        wall=True,
+    ).inc(seconds, model=model)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -15,6 +15,18 @@ The split objective is the second-order (XGBoost-style) gain
 with leaf value ``-G / (H + lam)``.  Plain squared-error regression is the
 special case ``g = -y, h = 1`` (so the classes here serve both as public
 estimators and as the boosting engine).
+
+The split search is vectorized over features but exact: it returns the
+same ``(feature, bin)`` as a per-feature loop, bit for bit.  Offsetting
+each code by ``feature * n_bins`` lets one ``bincount`` per statistic fill
+every feature's histogram, and each bin still sums its rows' weights in
+ascending row order; ``cumsum(axis=1)`` accumulates each feature's bins
+sequentially, so the prefix sums and element-wise gains are the same
+floats; and the first maximum of a row-major ``argmax`` is the first
+feature, first bin tie-break.  LightGBM's histogram subtraction (a
+child's histogram as parent minus sibling) is deliberately not used: the
+difference of two sums is not the sum over the child's rows in floating
+point, so it would change trees and every pinned digest.
 """
 
 from __future__ import annotations
@@ -28,6 +40,11 @@ from repro.utils.errors import NotFittedError, ValidationError
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["FeatureBinner", "GradHessTree", "DecisionTreeRegressor", "DecisionTreeClassifier"]
+
+#: Most (row, feature) histogram-index elements one pass of the split
+#: search handles; bounds the flat index and the tiled weights to a few
+#: MiB however many rows a node holds.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 class FeatureBinner:
@@ -159,8 +176,20 @@ class GradHessTree:
         n_bins: int,
     ) -> "GradHessTree":
         """Grow the tree on bin codes ``binned`` and per-sample grad/hess."""
-        if binned.dtype != np.uint8:
-            raise ValidationError("binned matrix must be uint8 bin codes")
+        if binned.dtype != np.uint8 or binned.ndim != 2:
+            raise ValidationError("binned matrix must be 2-D uint8 bin codes")
+        # The split search offsets codes into one flat histogram index, so
+        # an out-of-range code would silently land in the next feature.
+        if binned.size and int(binned.max()) >= n_bins:
+            raise ValidationError(
+                f"bin codes must be < n_bins={n_bins}, got {int(binned.max())}"
+            )
+        for name, values in (("grad", grad), ("hess", hess)):
+            if np.ndim(values) != 1 or len(values) != binned.shape[0]:
+                raise ValidationError(
+                    f"{name} must be 1-D with {binned.shape[0]} entries, "
+                    f"got shape {np.shape(values)}"
+                )
         self._n_bins = int(n_bins)
         self._arrays = _TreeArrays()
         root = self._arrays.add_node()
@@ -216,34 +245,56 @@ class GradHessTree:
         g_sum: float,
         h_sum: float,
     ) -> tuple[int, int] | None:
+        """Best ``(feature, bin)`` split of the node's rows, or ``None``.
+
+        Searches a block of features per pass: each code is offset by
+        ``feature * n_bins`` into one flat index, so one weighted
+        ``bincount`` builds every ``g`` histogram of the block, one builds
+        every ``h`` histogram and one unweighted ``bincount`` builds the
+        counts.  The result is bit-identical to searching one feature at a
+        time: each bin sums its rows' weights in ascending row order,
+        ``cumsum(axis=1)`` accumulates each feature sequentially, and the
+        row-major ``argmax`` (strict ``>`` across blocks) returns the first
+        feature, first bin of the maximum gain.  Every histogram is built
+        from the node's own rows; deriving one child's as parent minus
+        sibling (histogram subtraction) would round differently and so
+        would not be bit-identical.
+        """
+        n_bins = self._n_bins
+        if n_bins < 2:
+            return None
         lam = self.reg_lambda
         parent_score = g_sum**2 / (h_sum + lam)
         best_gain = self.min_gain
         best: tuple[int, int] | None = None
         rows = binned[indices]
-        for feature in range(binned.shape[1]):
-            codes = rows[:, feature]
-            g_hist = np.bincount(codes, weights=g, minlength=self._n_bins)
-            h_hist = np.bincount(codes, weights=h, minlength=self._n_bins)
-            n_hist = np.bincount(codes, minlength=self._n_bins)
-            gl = np.cumsum(g_hist)[:-1]
-            hl = np.cumsum(h_hist)[:-1]
-            nl = np.cumsum(n_hist)[:-1]
+        block = max(1, _BLOCK_ELEMENTS // indices.size)
+        for start in range(0, binned.shape[1], block):
+            codes = rows[:, start : start + block]
+            k = codes.shape[1]
+            # Row-major flat index: row i, feature j -> j * n_bins + code.
+            flat = (codes + np.arange(0, k * n_bins, n_bins)).ravel()
+            g_hist = np.bincount(flat, weights=np.repeat(g, k), minlength=k * n_bins)
+            h_hist = np.bincount(flat, weights=np.repeat(h, k), minlength=k * n_bins)
+            n_hist = np.bincount(flat, minlength=k * n_bins)
+            gl = np.cumsum(g_hist.reshape(k, n_bins), axis=1)[:, :-1]
+            hl = np.cumsum(h_hist.reshape(k, n_bins), axis=1)[:, :-1]
+            nl = np.cumsum(n_hist.reshape(k, n_bins), axis=1)[:, :-1]
             gr = g_sum - gl
             hr = h_sum - hl
             nr = indices.size - nl
             valid = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
-            if not valid.any():
-                continue
             # With lam == 0 an empty side has hl/hr == 0; those candidates
             # are masked out below, so silence the harmless 0/0.
             with np.errstate(divide="ignore", invalid="ignore"):
                 gains = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score
             gains[~valid | ~np.isfinite(gains)] = -np.inf
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                best = (feature, k)
+            position = int(np.argmax(gains))
+            gain = gains.flat[position]
+            if gain > best_gain:
+                best_gain = float(gain)
+                feature, bin_threshold = divmod(position, n_bins - 1)
+                best = (start + feature, bin_threshold)
         return best
 
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:

@@ -56,6 +56,26 @@ class TestGradHessTree:
         with pytest.raises(ValidationError):
             tree.fit(np.zeros((4, 1)), np.zeros(4), np.ones(4), n_bins=8)
 
+    def test_rejects_codes_outside_n_bins(self):
+        binned = np.array([[0, 1], [7, 8]], dtype=np.uint8)
+        with pytest.raises(ValidationError, match="n_bins=8"):
+            GradHessTree().fit(binned, np.zeros(2), np.ones(2), n_bins=8)
+        GradHessTree(min_samples_leaf=1).fit(binned, np.zeros(2), np.ones(2), n_bins=9)
+
+    @pytest.mark.parametrize(
+        "grad, hess",
+        [
+            (np.zeros((4, 1)), np.ones(4)),  # grad not 1-D
+            (np.zeros(3), np.ones(4)),  # grad too short
+            (np.zeros(4), np.ones((2, 2))),  # hess not 1-D
+            (np.zeros(4), np.ones(5)),  # hess too long
+        ],
+    )
+    def test_rejects_grad_hess_that_do_not_match_rows(self, grad, hess):
+        binned = np.zeros((4, 2), dtype=np.uint8)
+        with pytest.raises(ValidationError):
+            GradHessTree().fit(binned, grad, hess, n_bins=8)
+
     def test_pure_split_recovery(self):
         """A single informative feature should be split on exactly."""
         X = np.linspace(0, 1, 200).reshape(-1, 1)
