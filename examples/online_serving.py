@@ -24,7 +24,7 @@ from pathlib import Path
 from repro import TraceConfig, simulate_trace
 from repro.features.splits import make_paper_splits
 from repro.serve import serve_replay
-from repro.serve.registry import list_versions
+from repro.serve.registry import ModelRegistry
 from repro.telemetry.config import ErrorModelConfig
 from repro.topology import MachineConfig
 
@@ -90,7 +90,7 @@ def main() -> None:
         print(report)
 
         print("\nregistry contents:")
-        for version in list_versions(registry_root):
+        for version in ModelRegistry(registry_root).list_versions():
             extra = (
                 f"retrained at minute {version.metadata['retrained_at_minute']:g}"
                 if "retrained_at_minute" in version.metadata

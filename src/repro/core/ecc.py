@@ -45,17 +45,6 @@ class EccPolicyReport:
             return 0.0
         return self.ecc_off_core_hours / self.total_core_hours
 
-    def summary_rows(self) -> list[tuple[str, float]]:
-        """Rows for tabular display."""
-        return [
-            ("total core-hours", self.total_core_hours),
-            ("ECC-off core-hours", self.ecc_off_core_hours),
-            ("overhead saved (core-hours)", self.overhead_saved_core_hours),
-            ("exposed SBE samples", float(self.exposed_sbe_samples)),
-            ("re-execution cost (core-hours)", self.reexecution_core_hours),
-            ("net saved (core-hours)", self.net_saved_core_hours),
-        ]
-
 
 class EccPolicySimulator:
     """Replays ECC on/off policies against observed outcomes.

@@ -140,12 +140,6 @@ class TwoStagePredictor:
         """
         return self.predict_proba(features)
 
-    def stage1_pass_mask(self, features: FeatureMatrix) -> np.ndarray:
-        """Boolean mask of samples forwarded to stage 2."""
-        if self._offenders is None:
-            raise NotFittedError("TwoStagePredictor is not fitted")
-        return np.isin(features.meta["node_id"], self._offenders)
-
     def kernel_stats(self) -> dict:
         """Scoring-kernel summary for the stage-2 model (observability).
 

@@ -59,17 +59,6 @@ class ConsistentHashRing:
             self._points.insert(at, point)
             self._owners.insert(at, shard_id)
 
-    def remove_shard(self, shard_id: int) -> None:
-        shard_id = int(shard_id)
-        if shard_id not in self._shards:
-            raise ValidationError(f"shard {shard_id} not on the ring")
-        if len(self._shards) == 1:
-            raise ValidationError("cannot remove the last shard")
-        self._shards.discard(shard_id)
-        keep = [i for i, owner in enumerate(self._owners) if owner != shard_id]
-        self._points = [self._points[i] for i in keep]
-        self._owners = [self._owners[i] for i in keep]
-
     def route(self, node_id: int) -> int:
         """Shard owning ``node_id``: first ring point clockwise of its hash."""
         point = _point(f"node:{int(node_id)}")

@@ -3,8 +3,8 @@
 The paper trains Logistic Regression, Gradient Boosting Decision Trees,
 an RBF-kernel SVM, and a Neural Network.  None of the usual libraries are
 available offline, so this package implements them — plus the supporting
-cast (metrics, scalers/encoders, imbalance resampling, k-means, splits,
-and a small autoregressive forecaster for the paper's Discussion section).
+cast (metrics, a scaler, imbalance resampling, k-means, and a small
+autoregressive forecaster for the paper's Discussion section).
 
 All estimators follow the familiar ``fit`` / ``predict`` /
 ``predict_proba`` convention and validate their inputs.
@@ -24,13 +24,11 @@ from repro.ml.metrics import (
     precision_score,
     recall_score,
 )
-from repro.ml.model_selection import time_ordered_split, train_test_split
 from repro.ml.nn import MLPClassifier
-from repro.ml.preprocessing import LabelEncoder, OneHotEncoder, StandardScaler
+from repro.ml.preprocessing import StandardScaler
 from repro.ml.sampling import KMeansUnderSampler, RandomUnderSampler, SMOTE
 from repro.ml.svm import SVC
 from repro.ml.timeseries import ARForecaster
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
     "BaseClassifier",
@@ -48,17 +46,11 @@ __all__ = [
     "precision_recall_f1",
     "precision_score",
     "recall_score",
-    "time_ordered_split",
-    "train_test_split",
     "MLPClassifier",
-    "LabelEncoder",
-    "OneHotEncoder",
     "StandardScaler",
     "KMeansUnderSampler",
     "RandomUnderSampler",
     "SMOTE",
     "SVC",
     "ARForecaster",
-    "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
 ]

@@ -203,16 +203,6 @@ class GradientBoostingClassifier(BaseClassifier):
             raw += self.learning_rate * tree.predict_binned(binned)
         return raw
 
-    def staged_decision_function(self, X: np.ndarray):
-        """Yield decision scores after each boosting round (for diagnostics)."""
-        self._check_fitted()
-        assert self._binner is not None
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        raw = np.full(binned.shape[0], self._base_score)
-        for tree in self._trees:
-            raw = raw + self.learning_rate * tree.predict_binned(binned)
-            yield raw.copy()
-
     def _sample_weights(self, y: np.ndarray) -> np.ndarray:
         if self.class_weight is None:
             return np.ones(y.shape[0])

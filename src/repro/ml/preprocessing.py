@@ -1,4 +1,4 @@
-"""Feature preprocessing: scaling and categorical encoding."""
+"""Feature preprocessing: column standardization."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from repro.ml.base import check_array
 from repro.utils.errors import NotFittedError, ValidationError
 
-__all__ = ["StandardScaler", "LabelEncoder", "OneHotEncoder"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -44,102 +44,3 @@ class StandardScaler:
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit on ``X`` and return the transformed matrix."""
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        """Undo :meth:`transform`."""
-        if self.mean_ is None or self.scale_ is None:
-            raise NotFittedError("StandardScaler is not fitted")
-        X = check_array(X)
-        return X * self.scale_ + self.mean_
-
-
-class LabelEncoder:
-    """Map arbitrary hashable labels to dense integer codes.
-
-    Unknown labels at transform time map to the reserved code ``-1`` by
-    default (useful for applications first seen in a test window), or raise
-    when ``allow_unknown=False``.
-    """
-
-    def __init__(self, *, allow_unknown: bool = True) -> None:
-        self.allow_unknown = allow_unknown
-        self.classes_: list | None = None
-        self._index: dict | None = None
-
-    def fit(self, labels) -> "LabelEncoder":
-        """Learn the vocabulary from ``labels`` (order of first appearance)."""
-        index: dict = {}
-        for label in labels:
-            if label not in index:
-                index[label] = len(index)
-        self._index = index
-        self.classes_ = list(index)
-        return self
-
-    def transform(self, labels) -> np.ndarray:
-        """Encode ``labels``; unknowns become -1 (or raise)."""
-        if self._index is None:
-            raise NotFittedError("LabelEncoder is not fitted")
-        codes = np.empty(len(labels), dtype=int)
-        for i, label in enumerate(labels):
-            code = self._index.get(label)
-            if code is None:
-                if not self.allow_unknown:
-                    raise ValidationError(f"unknown label: {label!r}")
-                code = -1
-            codes[i] = code
-        return codes
-
-    def fit_transform(self, labels) -> np.ndarray:
-        """Fit on ``labels`` and return their codes."""
-        return self.fit(labels).transform(labels)
-
-    def inverse_transform(self, codes: np.ndarray):
-        """Decode integer codes back to the original labels."""
-        if self.classes_ is None:
-            raise NotFittedError("LabelEncoder is not fitted")
-        result = []
-        for code in np.asarray(codes, dtype=int).ravel():
-            if code == -1:
-                result.append(None)
-            elif 0 <= code < len(self.classes_):
-                result.append(self.classes_[code])
-            else:
-                raise ValidationError(f"code out of range: {code}")
-        return result
-
-
-class OneHotEncoder:
-    """One-hot encode an integer-coded categorical column.
-
-    Codes outside the fitted vocabulary (e.g. the -1 "unknown" code from
-    :class:`LabelEncoder`) encode to the all-zeros row.
-    """
-
-    def __init__(self) -> None:
-        self.categories_: np.ndarray | None = None
-        self._position: dict[int, int] | None = None
-
-    def fit(self, codes: np.ndarray) -> "OneHotEncoder":
-        """Learn the category set from ``codes`` (negatives excluded)."""
-        codes = np.asarray(codes, dtype=int).ravel()
-        categories = np.unique(codes[codes >= 0])
-        self.categories_ = categories
-        self._position = {int(c): i for i, c in enumerate(categories)}
-        return self
-
-    def transform(self, codes: np.ndarray) -> np.ndarray:
-        """Return the ``(n, n_categories)`` one-hot matrix for ``codes``."""
-        if self.categories_ is None or self._position is None:
-            raise NotFittedError("OneHotEncoder is not fitted")
-        codes = np.asarray(codes, dtype=int).ravel()
-        out = np.zeros((codes.size, self.categories_.size), dtype=float)
-        for i, code in enumerate(codes):
-            pos = self._position.get(int(code))
-            if pos is not None:
-                out[i, pos] = 1.0
-        return out
-
-    def fit_transform(self, codes: np.ndarray) -> np.ndarray:
-        """Fit on ``codes`` and return their one-hot matrix."""
-        return self.fit(codes).transform(codes)

@@ -1,4 +1,4 @@
-"""Histogram-based CART trees (regression and classification).
+"""Histogram-based gradient/hessian CART trees.
 
 These trees are the weak learners inside
 :class:`repro.ml.gbdt.GradientBoostingClassifier`.  Following the design of
@@ -13,8 +13,7 @@ The split objective is the second-order (XGBoost-style) gain
     gain = GL^2/(HL + lam) + GR^2/(HR + lam) - G^2/(H + lam)
 
 with leaf value ``-G / (H + lam)``.  Plain squared-error regression is the
-special case ``g = -y, h = 1`` (so the classes here serve both as public
-estimators and as the boosting engine).
+special case ``g = -y, h = 1, lam = 0``.
 
 The split search is vectorized over features but exact: it returns the
 same ``(feature, bin)`` as a per-feature loop, bit for bit.  Offsetting
@@ -35,11 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.base import BaseClassifier, check_array, check_X_y
+from repro.ml.base import check_array
 from repro.utils.errors import NotFittedError, ValidationError
 from repro.utils.validation import check_nonnegative, check_positive
 
-__all__ = ["FeatureBinner", "GradHessTree", "DecisionTreeRegressor", "DecisionTreeClassifier"]
+__all__ = ["FeatureBinner", "GradHessTree"]
 
 #: Most (row, feature) histogram-index elements one pass of the split
 #: search handles; bounds the flat index and the tiled weights to a few
@@ -88,15 +87,6 @@ class FeatureBinner:
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit on ``X`` and return its bin codes."""
         return self.fit(X).transform(X)
-
-    def bin_upper_value(self, feature: int, bin_index: int) -> float:
-        """Raw-value threshold equivalent to "bin <= bin_index"."""
-        if self.edges_ is None:
-            raise NotFittedError("FeatureBinner is not fitted")
-        edges = self.edges_[feature]
-        if bin_index >= edges.size:
-            return float("inf")
-        return float(edges[bin_index])
 
 
 @dataclass
@@ -319,85 +309,3 @@ class GradHessTree:
             go_left = codes <= threshold[pos]
             position[idx] = np.where(go_left, left[pos], right[pos])
         return value[position]
-
-
-class DecisionTreeRegressor:
-    """Least-squares regression tree on raw (unbinned) feature matrices.
-
-    A thin public wrapper around :class:`GradHessTree` using the identity
-    ``g = -y, h = 1`` under which the second-order leaf value reduces to the
-    (shrunken) node mean of ``y``.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_depth: int = 4,
-        min_samples_leaf: int = 5,
-        n_bins: int = 64,
-    ) -> None:
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.n_bins = n_bins
-        self._binner: FeatureBinner | None = None
-        self._tree: GradHessTree | None = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        """Fit the tree to continuous targets ``y``."""
-        X = check_array(X)
-        y = np.asarray(y, dtype=float).ravel()
-        if y.shape[0] != X.shape[0]:
-            raise ValidationError("X and y disagree on sample count")
-        self._binner = FeatureBinner(self.n_bins)
-        binned = self._binner.fit_transform(X)
-        self._tree = GradHessTree(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            reg_lambda=0.0,
-        )
-        self._tree.fit(binned, -y, np.ones_like(y), n_bins=self.n_bins)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict continuous targets for ``X``."""
-        if self._binner is None or self._tree is None:
-            raise NotFittedError("DecisionTreeRegressor is not fitted")
-        return self._tree.predict_binned(self._binner.transform(X))
-
-
-class DecisionTreeClassifier(BaseClassifier):
-    """Single-tree binary classifier (leaf value = class-1 fraction)."""
-
-    def __init__(
-        self,
-        *,
-        max_depth: int = 6,
-        min_samples_leaf: int = 5,
-        n_bins: int = 64,
-    ) -> None:
-        super().__init__()
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.n_bins = n_bins
-        self._regressor: DecisionTreeRegressor | None = None
-
-    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._regressor = DecisionTreeRegressor(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            n_bins=self.n_bins,
-        )
-        self._regressor.fit(X, y.astype(float))
-
-    def _decision_function(self, X: np.ndarray) -> np.ndarray:
-        assert self._regressor is not None
-        # Leaf means are probabilities; map to logits for the base class.
-        probs = np.clip(self._regressor.predict(X), 1e-6, 1.0 - 1e-6)
-        return np.log(probs / (1.0 - probs))
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-1 probability (leaf class fraction) per row."""
-        self._check_fitted()
-        assert self._regressor is not None
-        X = self._check_shape(check_array(X))
-        return np.clip(self._regressor.predict(X), 0.0, 1.0)

@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+def pool_context() -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap, shares the config by COW), else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 @dataclass(frozen=True)
 class ExperimentCell:
     """One unit of experiment work: a kind plus frozen parameters.
@@ -65,18 +71,13 @@ class ParallelRunner:
             raise ValidationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
 
-    @staticmethod
-    def _pool_context() -> multiprocessing.context.BaseContext:
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
     def map(self, worker: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Apply ``worker`` to every item, preserving input order."""
         items = list(items)
         if self.jobs == 1 or len(items) <= 1:
             return [worker(item) for item in items]
         with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(items)), mp_context=self._pool_context()
+            max_workers=min(self.jobs, len(items)), mp_context=pool_context()
         ) as pool:
             return list(pool.map(worker, items))
 

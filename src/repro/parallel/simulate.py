@@ -17,6 +17,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.parallel.runner import pool_context
 from repro.telemetry.config import TraceConfig
 from repro.telemetry.simulator import ShardResult, TraceSimulator, merge_shard_results
 from repro.telemetry.trace import Trace
@@ -30,12 +31,6 @@ def simulate_span(args: tuple[TraceConfig, ShardSpan]) -> ShardResult:
     """Worker entry point: simulate one shard (module-level so it pickles)."""
     config, span = args
     return TraceSimulator(config, span).run_span()
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap, shares the config by COW), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def iter_shard_results(
@@ -58,7 +53,7 @@ def iter_shard_results(
             yield span, simulate_span((config, span))
         return
     with ProcessPoolExecutor(
-        max_workers=min(jobs, len(spans)), mp_context=_pool_context()
+        max_workers=min(jobs, len(spans)), mp_context=pool_context()
     ) as pool:
         for span, result in zip(
             spans, pool.map(simulate_span, [(config, s) for s in spans])

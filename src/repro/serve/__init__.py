@@ -51,7 +51,7 @@ from repro.serve.events import (
     SbeObserved,
     iter_trace_events,
 )
-from repro.serve.registry import ModelRegistry, ModelVersion, load_model, save_model
+from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.replay import ReplayReport, serve_replay
 from repro.serve.resilience import (
     ChaosInjector,
@@ -92,8 +92,6 @@ __all__ = [
     "iter_trace_events",
     "ModelRegistry",
     "ModelVersion",
-    "save_model",
-    "load_model",
     "ReplayReport",
     "serve_replay",
     "Alert",

@@ -174,14 +174,3 @@ class CheckpointManager:
                 "(different split/model/chaos plan/trace); refusing to resume"
             )
         return info.events_done, info.load()
-
-    # ------------------------------------------------------------------
-    def prune(self, *, keep_last: int = 3) -> int:
-        """Delete all but the newest ``keep_last`` checkpoints."""
-        infos = self.list_checkpoints()
-        removed = 0
-        for info in infos[: max(len(infos) - keep_last, 0)]:
-            self._manifest_path(info.events_done).unlink(missing_ok=True)
-            info.payload.unlink(missing_ok=True)
-            removed += 1
-        return removed

@@ -95,11 +95,6 @@ class StreamingFeatureEngine:
         """Application-keyed SBE history."""
         return self._app_index
 
-    @property
-    def pending_runs(self) -> int:
-        """Runs started but not yet completed."""
-        return len(self._pending)
-
     # ------------------------------------------------------------------
     def process(self, event) -> list[StreamedRow]:
         """Apply one event; returns emitted rows (non-empty on completion)."""

@@ -46,9 +46,6 @@ __all__ = [
     "ARTIFACT_FORMAT",
     "ModelVersion",
     "ModelRegistry",
-    "save_model",
-    "load_model",
-    "list_versions",
 ]
 
 #: On-disk artifact format; bump when the payload layout changes.
@@ -432,36 +429,3 @@ def _first_difference(a: list[str], b: list[str]) -> str:
         if x != y:
             return f"column {i}: {x!r} != {y!r}"
     return f"length {len(a)} != {len(b)}"
-
-
-# ----------------------------------------------------------------------
-# Module-level convenience API (the issue's save/load/list surface)
-# ----------------------------------------------------------------------
-def save_model(
-    predictor: TwoStagePredictor,
-    root: str | Path,
-    *,
-    name: str = "twostage",
-    metadata: dict | None = None,
-) -> ModelVersion:
-    """Save ``predictor`` as the next version under ``root``."""
-    return ModelRegistry(root).save_model(predictor, name=name, metadata=metadata)
-
-
-def load_model(
-    root: str | Path,
-    *,
-    name: str = "twostage",
-    version: int | None = None,
-    expect_feature_names: list[str] | None = None,
-) -> TwoStagePredictor:
-    """Load a predictor from ``root`` (latest version by default)."""
-    predictor, _ = ModelRegistry(root).load_model(
-        name, version, expect_feature_names=expect_feature_names
-    )
-    return predictor
-
-
-def list_versions(root: str | Path, *, name: str = "twostage") -> list[ModelVersion]:
-    """Committed versions of ``name`` under ``root``, oldest first."""
-    return ModelRegistry(root).list_versions(name)

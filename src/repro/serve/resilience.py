@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -524,13 +523,6 @@ class ResilienceCounters:
             return 0.0
         return self.fallback_rows / self.rows_scored
 
-    @property
-    def first_pass_fraction(self) -> float:
-        """Fraction of scored rows that never touched the DLQ."""
-        if self.rows_scored == 0:
-            return 1.0
-        return (self.rows_scored - self.replayed_rows) / self.rows_scored
-
 
 class AllNegativeFallback:
     """Last-resort predictor: never alerts, never fails."""
@@ -665,10 +657,7 @@ class SupervisedScorer(MicroBatchScorer):
                     else:
                         res.transient_faults += 1
                     raise _InjectedFault(kind, detail)
-                started = time.perf_counter()
-                scores = self._predictor.decision_scores(matrix)
-                self.counters.scoring_seconds += time.perf_counter() - started
-                predicted = (scores >= self._predictor.model.threshold).astype(int)
+                scores, predicted = self._predict_primary(matrix)
             except _InjectedFault as exc:
                 self._last_failure = (exc.args[0], exc.args[1])
             except Exception as exc:  # genuine scorer bug / bad model

@@ -213,6 +213,15 @@ class MicroBatchScorer:
         """
         rows = [row for _, row in entries]
         matrix = rows_to_matrix(rows, self._schema)
+        scores, predicted = self._predict_primary(matrix)
+        return scores, predicted, self.model_version, "primary"
+
+    def _predict_primary(self, matrix):
+        """Score one batch with the primary model: ``(scores, predicted)``.
+
+        The one predict step every scorer runs; it times the call and
+        counts the batch.  Exceptions propagate uncounted.
+        """
         started = time.perf_counter()
         scores = self._predictor.decision_scores(matrix)
         elapsed = time.perf_counter() - started
@@ -228,7 +237,7 @@ class MicroBatchScorer:
         ).inc()
         threshold = self._predictor.model.threshold
         predicted = (scores >= threshold).astype(int)
-        return scores, predicted, self.model_version, "primary"
+        return scores, predicted
 
     def _emit(
         self,

@@ -279,11 +279,6 @@ class SegmentedTraceStore:
         return self.root / MANIFEST_NAME
 
     @property
-    def journal_path(self) -> Path:
-        """The per-segment progress journal."""
-        return self.root / JOURNAL_NAME
-
-    @property
     def quarantine_path(self) -> Path:
         """Directory corrupt segments are moved into by recovery."""
         return self.root / QUARANTINE_DIR

@@ -59,11 +59,6 @@ class PowerModel:
         )[window]
         self._noise = RowNoise(seeds, "power-noise", machine_config, span)
 
-    @property
-    def efficiency(self) -> np.ndarray:
-        """Static per-node efficiency multipliers."""
-        return self._efficiency
-
     def sample(self, gpu_utilization: np.ndarray) -> np.ndarray:
         """Instantaneous per-node watts for the given utilization vector."""
         cfg = self._config

@@ -213,8 +213,7 @@ class TraceSimulator:
 
         starts_at: dict[int, list[ScheduledRun]] = defaultdict(list)
         ends_at: dict[int, list[int]] = defaultdict(list)
-        order: list[int] = []
-        ends_order: dict[int, list[int]] = defaultdict(list)
+        order = completion_order(schedule, num_ticks, dt)
         job_total_runs: dict[int, int] = defaultdict(int)
         local_subset: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for run in schedule:
@@ -222,7 +221,6 @@ class TraceSimulator:
             end_tick = int(math.floor(run.end_minute / dt))
             if start_tick >= num_ticks or end_tick <= start_tick:
                 continue
-            ends_order[min(end_tick, num_ticks)].append(run.run_id)
             inside = run.node_ids[(run.node_ids >= lo) & (run.node_ids < hi)]
             if inside.size == 0:
                 continue
@@ -230,8 +228,6 @@ class TraceSimulator:
             starts_at[start_tick].append(run)
             ends_at[min(end_tick, num_ticks)].append(run.run_id)
             job_total_runs[run.job_id] += 1
-        for tick in sorted(ends_order):
-            order.extend(ends_order[tick])
 
         welford = {q: VectorWelford(n) for q in RUN_STAT_QUANTITIES}
         ring_capacity = max(1, int(round(60.0 / dt)))

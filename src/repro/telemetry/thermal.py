@@ -86,11 +86,6 @@ class ThermalModel:
         #: stay at the unperturbed ambient).
         self.extra_offset: float | np.ndarray | None = None
 
-    @property
-    def cabinet_offset(self) -> np.ndarray:
-        """Per-node static cooling offset from the cabinet pattern."""
-        return self._cabinet_offset
-
     def steady_state(self, power_watts: np.ndarray) -> np.ndarray:
         """Equilibrium GPU temperature for a constant power draw."""
         cfg = self._config

@@ -123,11 +123,6 @@ class Trace:
         )
         return totals
 
-    def select_samples(self, mask: np.ndarray) -> dict[str, np.ndarray]:
-        """Row-subset of the samples table as a new column dict."""
-        mask = np.asarray(mask)
-        return {k: v[mask] for k, v in self.samples.items()}
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

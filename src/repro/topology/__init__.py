@@ -8,7 +8,6 @@ form a *cabinet*; 200 cabinets are arranged in a 25 x 8 floor grid.
 toy machines while experiments use a full 25 x 8 grid.
 """
 
-from repro.topology.location import NodeLocation
 from repro.topology.machine import Machine, MachineConfig, TITAN_CONFIG
 
-__all__ = ["NodeLocation", "Machine", "MachineConfig", "TITAN_CONFIG"]
+__all__ = ["Machine", "MachineConfig", "TITAN_CONFIG"]

@@ -1,10 +1,9 @@
-"""Whole-machine topology with vectorized neighbour queries.
+"""Whole-machine topology as flat per-node arrays.
 
-The feature extractor asks, for every sample, for "the other GPU nodes in
-the same slot" and "the cabinet of this node" — tens of thousands of times.
-:class:`Machine` therefore precomputes integer index arrays mapping each
-node id to its cabinet/cage/slot groups so those queries are O(1) array
-lookups rather than object traversals.
+The simulator and the feature extractor ask for "the cabinet of this
+node" for every node at once, so :class:`Machine` precomputes integer
+arrays mapping each node id to its cabinet coordinates; those queries
+are array lookups rather than object traversals.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.topology.location import NodeLocation
 from repro.utils.errors import ConfigurationError
-from repro.utils.validation import check_positive
 
 __all__ = ["MachineConfig", "Machine", "TITAN_CONFIG"]
 
@@ -78,7 +75,7 @@ TITAN_CONFIG = MachineConfig()
 
 
 class Machine:
-    """Immutable topology with node-id <-> location maps and group indices.
+    """Immutable topology with per-node cabinet index arrays.
 
     Node ids are dense integers ``0 .. num_nodes-1`` assigned in
     (cabinet-major, cage, slot, node) order, so all per-node state elsewhere
@@ -88,21 +85,10 @@ class Machine:
     def __init__(self, config: MachineConfig | None = None) -> None:
         self._config = config or TITAN_CONFIG
         cfg = self._config
-        n = cfg.num_nodes
-        node_ids = np.arange(n)
-        per_cab = cfg.nodes_per_cabinet
-        cabinet_linear = node_ids // per_cab
+        cabinet_linear = np.arange(cfg.num_nodes) // cfg.nodes_per_cabinet
         self._cabinet_x = cabinet_linear % cfg.grid_x
         self._cabinet_y = cabinet_linear // cfg.grid_x
-        within = node_ids % per_cab
-        per_cage = cfg.slots_per_cage * cfg.nodes_per_slot
-        self._cage = within // per_cage
-        self._slot = (within % per_cage) // cfg.nodes_per_slot
-        self._node_in_slot = within % cfg.nodes_per_slot
         self._cabinet_linear = cabinet_linear
-        # Global group ids for slot and cage, used for fast groupby.
-        self._slot_group = node_ids // cfg.nodes_per_slot
-        self._cage_group = node_ids // per_cage
 
     @property
     def config(self) -> MachineConfig:
@@ -118,57 +104,6 @@ class Machine:
     def num_cabinets(self) -> int:
         """Total number of cabinets."""
         return self._config.num_cabinets
-
-    # ------------------------------------------------------------------
-    # Scalar queries
-    # ------------------------------------------------------------------
-    def location(self, node_id: int) -> NodeLocation:
-        """Return the physical location of ``node_id``."""
-        self._check_node(node_id)
-        return NodeLocation(
-            x=int(self._cabinet_x[node_id]),
-            y=int(self._cabinet_y[node_id]),
-            cage=int(self._cage[node_id]),
-            slot=int(self._slot[node_id]),
-            node=int(self._node_in_slot[node_id]),
-        )
-
-    def node_id(self, location: NodeLocation) -> int:
-        """Return the dense node id of ``location``."""
-        cfg = self._config
-        if not (0 <= location.x < cfg.grid_x and 0 <= location.y < cfg.grid_y):
-            raise ValueError(f"cabinet out of range: {location}")
-        if not (
-            0 <= location.cage < cfg.cages_per_cabinet
-            and 0 <= location.slot < cfg.slots_per_cage
-            and 0 <= location.node < cfg.nodes_per_slot
-        ):
-            raise ValueError(f"position out of range: {location}")
-        cabinet_linear = location.y * cfg.grid_x + location.x
-        within = (
-            location.cage * cfg.slots_per_cage + location.slot
-        ) * cfg.nodes_per_slot + location.node
-        return cabinet_linear * cfg.nodes_per_cabinet + within
-
-    def slot_peers(self, node_id: int) -> np.ndarray:
-        """Node ids sharing ``node_id``'s slot, excluding ``node_id``."""
-        self._check_node(node_id)
-        base = (node_id // self._config.nodes_per_slot) * self._config.nodes_per_slot
-        peers = np.arange(base, base + self._config.nodes_per_slot)
-        return peers[peers != node_id]
-
-    def cage_peers(self, node_id: int) -> np.ndarray:
-        """Node ids sharing ``node_id``'s cage, excluding ``node_id``."""
-        self._check_node(node_id)
-        per_cage = self._config.slots_per_cage * self._config.nodes_per_slot
-        base = (node_id // per_cage) * per_cage
-        peers = np.arange(base, base + per_cage)
-        return peers[peers != node_id]
-
-    def cabinet_of(self, node_id: int) -> tuple[int, int]:
-        """Cabinet grid coordinates ``(x, y)`` of ``node_id``."""
-        self._check_node(node_id)
-        return (int(self._cabinet_x[node_id]), int(self._cabinet_y[node_id]))
 
     # ------------------------------------------------------------------
     # Vectorized views (flat arrays indexed by node id)
@@ -187,16 +122,6 @@ class Machine:
     def cabinet_linear(self) -> np.ndarray:
         """Per-node linear cabinet index ``y * grid_x + x``."""
         return self._readonly(self._cabinet_linear)
-
-    @property
-    def slot_group(self) -> np.ndarray:
-        """Per-node global slot id (nodes with equal value share a slot)."""
-        return self._readonly(self._slot_group)
-
-    @property
-    def cage_group(self) -> np.ndarray:
-        """Per-node global cage id."""
-        return self._readonly(self._cage_group)
 
     def cabinet_grid(self, per_node_values: np.ndarray, *, reduce: str = "sum") -> np.ndarray:
         """Aggregate a per-node array onto the ``(grid_y, grid_x)`` floor grid.
@@ -218,22 +143,6 @@ class Machine:
         elif reduce != "sum":
             raise ValueError(f"unknown reduce: {reduce!r}")
         return sums.reshape(cfg.grid_y, cfg.grid_x)
-
-    def slot_means(self, per_node_values: np.ndarray) -> np.ndarray:
-        """Per-node mean of the value over that node's slot (including self)."""
-        values = np.asarray(per_node_values, dtype=float)
-        if values.shape != (self.num_nodes,):
-            raise ValueError(
-                f"expected shape ({self.num_nodes},), got {values.shape}"
-            )
-        per_slot = values.reshape(-1, self._config.nodes_per_slot)
-        return np.repeat(per_slot.mean(axis=1), self._config.nodes_per_slot)
-
-    def _check_node(self, node_id: int) -> None:
-        if not 0 <= node_id < self.num_nodes:
-            raise ValueError(
-                f"node_id {node_id} out of range [0, {self.num_nodes})"
-            )
 
     @staticmethod
     def _readonly(array: np.ndarray) -> np.ndarray:

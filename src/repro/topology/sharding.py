@@ -59,20 +59,6 @@ class ShardSpan:
         """Nodes owned by this shard."""
         return self.hi - self.lo
 
-    @property
-    def is_full(self) -> bool:
-        """True when the span starts at node 0 and is the only shard."""
-        return self.lo == 0 and self.num_shards == 1
-
-    def owns(self, node_id: int) -> bool:
-        """Whether ``node_id`` falls inside this span."""
-        return self.lo <= node_id < self.hi
-
-    def local_ids(self, global_ids: np.ndarray) -> np.ndarray:
-        """Span-local indices of the ``global_ids`` that fall inside it."""
-        inside = global_ids[(global_ids >= self.lo) & (global_ids < self.hi)]
-        return inside - self.lo
-
     def to_dict(self) -> dict:
         """JSON-serializable form, for store manifests and journals."""
         return {

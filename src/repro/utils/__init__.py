@@ -5,8 +5,7 @@ This package intentionally contains only dependency-free building blocks:
 * :mod:`repro.utils.errors` -- the exception hierarchy.
 * :mod:`repro.utils.io` -- checksummed, atomic file writes.
 * :mod:`repro.utils.rng` -- hierarchical, reproducible random streams.
-* :mod:`repro.utils.stats` -- online (Welford) statistics and helpers.
-* :mod:`repro.utils.ringbuffer` -- fixed-capacity numeric history buffers.
+* :mod:`repro.utils.stats` -- rank correlation.
 * :mod:`repro.utils.tables` -- plain-text table/grid rendering.
 * :mod:`repro.utils.validation` -- small argument-checking helpers.
 """
@@ -30,9 +29,8 @@ from repro.utils.io import (
     sha256_bytes,
     sha256_file,
 )
-from repro.utils.ringbuffer import RingBuffer
 from repro.utils.rng import SeedSequenceFactory, child_rng
-from repro.utils.stats import OnlineStats, diff_stats, empirical_cdf
+from repro.utils.stats import spearman
 from repro.utils.tables import format_grid, format_table
 from repro.utils.validation import (
     check_fraction,
@@ -57,12 +55,9 @@ __all__ = [
     "atomic_write_text",
     "sha256_bytes",
     "sha256_file",
-    "RingBuffer",
     "SeedSequenceFactory",
     "child_rng",
-    "OnlineStats",
-    "diff_stats",
-    "empirical_cdf",
+    "spearman",
     "format_grid",
     "format_table",
     "check_fraction",

@@ -1,119 +1,10 @@
-"""Streaming statistics and small distribution helpers.
-
-The out-of-band telemetry sampler must aggregate months of per-minute
-samples without storing them, so the accumulators here are all one-pass
-(Welford) and mergeable.
-"""
+"""Small distribution helpers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["OnlineStats", "diff_stats", "empirical_cdf", "spearman"]
-
-
-@dataclass
-class OnlineStats:
-    """One-pass mean/variance accumulator (Welford's algorithm).
-
-    Supports scalar and vectorized updates as well as merging two
-    accumulators (parallel Welford), which the simulator uses to combine
-    per-chunk aggregates.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-
-    def update(self, value: float) -> None:
-        """Fold a single observation into the accumulator."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def update_many(self, values: np.ndarray) -> None:
-        """Fold an array of observations into the accumulator."""
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            return
-        other = OnlineStats(
-            count=int(values.size),
-            mean=float(values.mean()),
-            _m2=float(((values - values.mean()) ** 2).sum()),
-            min=float(values.min()),
-            max=float(values.max()),
-        )
-        self.merge(other)
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Merge another accumulator into this one (parallel Welford)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta**2 * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count == 0:
-            return float("nan")
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the observations seen so far."""
-        return float(np.sqrt(self.variance))
-
-    def as_tuple(self) -> tuple[float, float]:
-        """Return ``(mean, std)``; NaNs when empty."""
-        if self.count == 0:
-            return (float("nan"), float("nan"))
-        return (self.mean, self.std)
-
-
-def diff_stats(series: np.ndarray) -> tuple[float, float]:
-    """Mean and std of consecutive differences of ``series``.
-
-    This is the paper's "dynamic behaviour" feature: the mean and standard
-    deviation of the difference between two consecutive temperature (or
-    power) measurements.  Returns ``(0.0, 0.0)`` for series shorter than 2,
-    matching a perfectly flat profile.
-    """
-    series = np.asarray(series, dtype=float).ravel()
-    if series.size < 2:
-        return (0.0, 0.0)
-    deltas = np.diff(series)
-    return (float(deltas.mean()), float(deltas.std()))
-
-
-def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, cumulative_fractions)`` for plotting a CDF."""
-    values = np.sort(np.asarray(values, dtype=float).ravel())
-    if values.size == 0:
-        return values, values
-    fractions = np.arange(1, values.size + 1, dtype=float) / values.size
-    return values, fractions
+__all__ = ["spearman"]
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:

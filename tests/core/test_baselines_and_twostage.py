@@ -80,7 +80,7 @@ class TestTwoStage:
     def test_stage1_filters(self, split_features):
         train, test = split_features
         predictor = TwoStagePredictor("gbdt", random_state=0, fast=True).fit(train)
-        mask = predictor.stage1_pass_mask(test)
+        mask = np.isin(test.meta["node_id"], predictor.offender_nodes)
         pred = predictor.predict(test)
         # Stage-1 rejected samples are always predicted negative.
         assert pred[~mask].sum() == 0

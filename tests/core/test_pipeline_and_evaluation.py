@@ -146,8 +146,3 @@ class TestEccPolicy:
     def test_unknown_policy(self, gbdt_result):
         with pytest.raises(ValidationError):
             EccPolicySimulator().replay(gbdt_result, policy="sometimes")
-
-    def test_summary_rows(self, gbdt_result):
-        report = EccPolicySimulator().replay(gbdt_result)
-        rows = report.summary_rows()
-        assert len(rows) == 6

@@ -10,10 +10,10 @@ from repro.ml import (
     SVC,
     accuracy_score,
     f1_score,
-    train_test_split,
 )
 from repro.ml.base import sigmoid
 from repro.utils.errors import NotFittedError, ValidationError
+from tests.ml._data import random_split
 
 
 def make_models(fast=True):
@@ -30,7 +30,7 @@ def make_models(fast=True):
 @pytest.fixture(scope="module")
 def dataset(binary_dataset):
     X, y = binary_dataset
-    return train_test_split(X, y, test_fraction=0.25, random_state=0)
+    return random_split(X, y, test_fraction=0.25, seed=0)
 
 
 class TestSigmoid:

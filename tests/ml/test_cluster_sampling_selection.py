@@ -1,4 +1,4 @@
-"""Tests for k-means, resampling, splits, and the AR forecaster."""
+"""Tests for k-means, resampling, and the AR forecaster."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.cluster import KMeans
-from repro.ml.model_selection import time_ordered_split, train_test_split
 from repro.ml.sampling import KMeansUnderSampler, RandomUnderSampler, SMOTE
 from repro.ml.timeseries import ARForecaster
 from repro.utils.errors import NotFittedError, ValidationError
@@ -102,53 +101,6 @@ class TestKMeansUnderSampler:
         counts = np.bincount(yr)
         assert counts[1] == 20
         assert counts[0] <= 20
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        X = np.arange(100).reshape(-1, 1)
-        y = (np.arange(100) % 2).astype(int)
-        Xtr, Xte, ytr, yte = train_test_split(X, y, test_fraction=0.25, random_state=0)
-        assert Xte.shape[0] == 25
-        assert Xtr.shape[0] == 75
-
-    def test_disjoint_and_complete(self):
-        X = np.arange(50).reshape(-1, 1)
-        y = (np.arange(50) % 2).astype(int)
-        Xtr, Xte, _, _ = train_test_split(X, y, test_fraction=0.2, random_state=1)
-        merged = np.sort(np.concatenate([Xtr.ravel(), Xte.ravel()]))
-        assert np.array_equal(merged, np.arange(50))
-
-    def test_stratified_keeps_minority(self):
-        X, y = imbalanced(n=100, pos=4)
-        _, _, _, yte = train_test_split(
-            X, y, test_fraction=0.25, stratify=True, random_state=0
-        )
-        assert yte.sum() >= 1
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValidationError):
-            train_test_split(np.ones((4, 1)), np.array([0, 1, 0, 1]), test_fraction=1.0)
-
-
-class TestTimeOrderedSplit:
-    def test_window_semantics(self):
-        t = np.arange(100.0)
-        train, test = time_ordered_split(t, train_span=60, test_span=20)
-        assert train.sum() == 60
-        assert test.sum() == 20
-        assert t[test].min() == 60.0
-
-    def test_offset(self):
-        t = np.arange(100.0)
-        train, test = time_ordered_split(t, train_span=50, test_span=10, offset=20)
-        assert t[train].min() == 20.0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            time_ordered_split(np.array([]), train_span=1, test_span=1)
-        with pytest.raises(ValidationError):
-            time_ordered_split(np.arange(5.0), train_span=0, test_span=1)
 
 
 class TestARForecaster:

@@ -27,7 +27,7 @@ node_params = st.fixed_dictionaries(
         "n_rows": st.integers(1, 300),
         "n_features": st.integers(1, 40),
         "min_samples_leaf": st.integers(1, 40),
-        # "regression" is DecisionTreeRegressor's case: g = -y, h = 1, lam = 0.
+        # "regression" is least-squares regression: g = -y, h = 1, lam = 0.
         "stats": st.sampled_from(["newton", "regression", "integer", "decimal"]),
         "reg_lambda": st.sampled_from([0.0, 1e-3, 1.0, 7.5]),
         # "distinct" puts every row of a node in its own bin.

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from repro.ml.gbdt import GradientBoostingClassifier
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    FeatureBinner,
-    GradHessTree,
-)
+from repro.ml.tree import FeatureBinner, GradHessTree
 from repro.utils.errors import NotFittedError, ValidationError
+from tests.ml._data import random_split
+
+
+def fit_regression_tree(X, y, *, max_depth, min_samples_leaf=5, n_bins=64):
+    """Least-squares tree: ``g = -y``, ``h = 1``, no leaf shrinkage."""
+    binner = FeatureBinner(n_bins)
+    binned = binner.fit_transform(X)
+    tree = GradHessTree(
+        max_depth=max_depth, min_samples_leaf=min_samples_leaf, reg_lambda=0.0
+    )
+    tree.fit(binned, -y, np.ones_like(y), n_bins=n_bins)
+    return lambda X_new: tree.predict_binned(binner.transform(X_new))
 
 
 class TestFeatureBinner:
@@ -43,12 +50,6 @@ class TestFeatureBinner:
         codes = FeatureBinner(8).fit_transform(X)
         assert np.unique(codes[:, 0]).size == 1
 
-    def test_bin_upper_value(self):
-        X = np.arange(100, dtype=float).reshape(-1, 1)
-        binner = FeatureBinner(4).fit(X)
-        assert binner.bin_upper_value(0, 100) == np.inf
-        assert binner.bin_upper_value(0, 0) < binner.bin_upper_value(0, 1)
-
 
 class TestGradHessTree:
     def test_requires_uint8(self):
@@ -80,52 +81,32 @@ class TestGradHessTree:
         """A single informative feature should be split on exactly."""
         X = np.linspace(0, 1, 200).reshape(-1, 1)
         y = (X[:, 0] > 0.5).astype(float)
-        model = DecisionTreeRegressor(max_depth=2, min_samples_leaf=5)
-        model.fit(X, y)
-        pred = model.predict(X)
+        pred = fit_regression_tree(X, y, max_depth=2)(X)
         assert np.abs(pred - y).mean() < 0.05
 
     def test_not_fitted_predict(self):
         with pytest.raises(NotFittedError):
             GradHessTree().predict_binned(np.zeros((2, 1), dtype=np.uint8))
 
-
-class TestDecisionTreeRegressor:
     def test_reduces_to_mean_with_depth_limits(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.zeros((4, 1))
-        model = DecisionTreeRegressor(max_depth=1, min_samples_leaf=1)
-        model.fit(X, y)
-        assert model.predict(X) == pytest.approx(np.full(4, y.mean()))
+        pred = fit_regression_tree(X, y, max_depth=1, min_samples_leaf=1)(X)
+        assert pred == pytest.approx(np.full(4, y.mean()))
 
     def test_fits_step_function(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(-2, 2, size=(600, 2))
         y = np.where(X[:, 0] > 0, 3.0, -1.0) + rng.normal(0, 0.05, 600)
-        model = DecisionTreeRegressor(max_depth=3).fit(X, y)
-        pred = model.predict(X)
+        pred = fit_regression_tree(X, y, max_depth=3)(X)
         assert np.corrcoef(pred, y)[0, 1] > 0.98
 
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            DecisionTreeRegressor().fit(np.ones((3, 1)), np.ones(4))
-
-
-class TestDecisionTreeClassifier:
-    def test_basic_classification(self):
+    def test_fits_class_interaction(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(400, 2))
         y = (X[:, 0] * X[:, 1] > 0).astype(int)
-        model = DecisionTreeClassifier(max_depth=6).fit(X, y)
-        assert (model.predict(X) == y).mean() > 0.9
-
-    def test_proba_bounds(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(100, 2))
-        y = (X[:, 0] > 0).astype(int)
-        model = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        proba = model.predict_proba(X)
-        assert np.all((proba >= 0) & (proba <= 1))
+        pred = fit_regression_tree(X, y.astype(float), max_depth=6)(X)
+        assert ((pred > 0.5) == y).mean() > 0.9
 
 
 class TestGradientBoosting:
@@ -151,15 +132,6 @@ class TestGradientBoosting:
         ).fit(X, y)
         assert model.n_estimators_ <= 300
 
-    def test_staged_scores_converge_to_final(self, binary_dataset):
-        X, y = binary_dataset
-        model = GradientBoostingClassifier(
-            n_estimators=10, random_state=0, early_stopping_fraction=0.0
-        ).fit(X, y)
-        stages = list(model.staged_decision_function(X[:20]))
-        assert len(stages) == model.n_estimators_
-        assert np.allclose(stages[-1], model.decision_function(X[:20]))
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             GradientBoostingClassifier(subsample=0.0)
@@ -169,10 +141,10 @@ class TestGradientBoosting:
     def test_nonlinear_advantage_over_linear(self, binary_dataset):
         """GBDT must beat LR on an interaction-heavy problem (the paper's
         core modelling claim)."""
-        from repro.ml import LogisticRegression, f1_score, train_test_split
+        from repro.ml import LogisticRegression, f1_score
 
         X, y = binary_dataset
-        Xtr, Xte, ytr, yte = train_test_split(X, y, test_fraction=0.3, random_state=1)
+        Xtr, Xte, ytr, yte = random_split(X, y, test_fraction=0.3, seed=1)
         gbdt = GradientBoostingClassifier(n_estimators=80, random_state=0).fit(Xtr, ytr)
         lr = LogisticRegression(epochs=60, random_state=0).fit(Xtr, ytr)
         assert f1_score(yte, gbdt.predict(Xte)) > f1_score(yte, lr.predict(Xte))

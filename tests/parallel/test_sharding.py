@@ -46,7 +46,7 @@ class TestPlanShards:
     def test_full_span_covers_machine(self):
         span = full_span(CONFIG)
         assert span.lo == 0 and span.hi == CONFIG.num_nodes
-        assert span.is_full
+        assert span.index == 0 and span.num_shards == 1
 
 
 class TestHalo:
@@ -74,13 +74,3 @@ class TestHalo:
                          row_lo=0, row_hi=CONFIG.grid_y + 1)
         with pytest.raises(ValidationError):
             validate_span(span, CONFIG)
-
-
-class TestSpanHelpers:
-    def test_owns_and_local_ids(self):
-        span = plan_shards(CONFIG, 2)[1]
-        assert not span.owns(span.lo - 1)
-        assert span.owns(span.lo)
-        assert not span.owns(span.hi)
-        ids = np.array([span.lo - 1, span.lo, span.lo + 3, span.hi])
-        assert np.array_equal(span.local_ids(ids), np.array([0, 3]))

@@ -89,14 +89,6 @@ class TestCheckpointManager:
         with pytest.raises(ValidationError, match="nothing to resume"):
             CheckpointManager(tmp_path / "none").load_latest(expected_key="k")
 
-    def test_prune_keeps_newest(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        for events in (100, 200, 300, 400):
-            manager.save(events, {"e": events}, key="k")
-        removed = manager.prune(keep_last=2)
-        assert removed == 2
-        assert [i.events_done for i in manager.list_checkpoints()] == [300, 400]
-
 
 def _replay(trace, context, root, **kwargs):
     return serve_replay(

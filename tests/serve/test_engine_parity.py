@@ -62,7 +62,7 @@ def assert_stream_matches_batch(trace, top_k_apps: int = 16):
 
     assert engine.schema.names == batch.schema.names
     assert len(rows) == batch.num_samples
-    assert engine.pending_runs == 0  # every start saw its completion
+    assert not engine._pending  # every start saw its completion
 
     by_key = {(row.run_idx, row.node_id): row for row in rows}
     keys = list(

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.twostage import TwoStagePredictor
-from repro.serve.registry import (
-    ARTIFACT_FORMAT,
-    ModelRegistry,
-    list_versions,
-    load_model,
-    save_model,
-)
+from repro.serve.registry import ARTIFACT_FORMAT, ModelRegistry
 from repro.utils.errors import (
     DegradedDataWarning,
     ModelRegistryError,
@@ -66,13 +60,6 @@ class TestSaveLoadRoundTrip:
         assert registry.latest().version == 2
         _, entry = registry.load_model(version=1)
         assert entry.version == 1
-
-    def test_module_level_helpers(self, fitted, tmp_path):
-        predictor, _, test = fitted
-        save_model(predictor, tmp_path)
-        loaded = load_model(tmp_path)
-        np.testing.assert_array_equal(loaded.predict(test), predictor.predict(test))
-        assert [v.version for v in list_versions(tmp_path)] == [1]
 
     def test_unfitted_predictor_is_rejected(self, tmp_path):
         with pytest.raises(NotFittedError):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.serve import serve_replay
 from repro.serve.registry import ModelRegistry
 
@@ -65,6 +66,24 @@ class TestOnlineMatchesBatch:
         # the scoring-only figure.
         assert 0.0 < rate < report.counters.rows_per_second
         assert f"end-to-end         {rate:,.0f} rows/s" in str(report)
+
+
+class TestScoringCounters:
+    def test_every_scored_batch_is_counted(self, tiny_trace, tiny_context, tmp_path):
+        with use_registry(MetricsRegistry(mode="on")) as registry:
+            report = serve_replay(
+                tiny_trace,
+                tmp_path,
+                splits=tiny_context.preset_splits(),
+                split="DS1",
+                model="gbdt",
+                batch_size=64,
+                fast=True,
+            )
+        kernel_batches = registry.counter("repro_serve_kernel_batches_total")
+        assert kernel_batches.value() == report.counters.batches > 0
+        seconds = registry.counter("repro_serve_scoring_seconds_total", wall=True)
+        assert seconds.value() > 0.0
 
 
 class TestDeterminism:

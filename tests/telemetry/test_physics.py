@@ -31,10 +31,13 @@ class TestPowerModel:
             assert np.all(model.sample(np.zeros(64)) >= 1.0)
 
     def test_efficiency_static(self):
-        model = PowerModel(PowerConfig(), 8, SeedSequenceFactory(3))
-        eff = model.efficiency
-        assert eff.shape == (8,)
-        assert np.all(eff > 0)
+        cfg = PowerConfig(noise_watts=0.0)
+        model = PowerModel(cfg, 8, SeedSequenceFactory(3))
+        idle = model.sample(np.zeros(8))
+        assert idle.shape == (8,)
+        assert np.all(idle > 0)
+        assert np.unique(idle).size == 8
+        assert np.array_equal(model.sample(np.zeros(8)), idle)
 
 
 class TestCoolingPattern:
@@ -95,5 +98,11 @@ class TestThermalModel:
         assert model.cpu_temp[:4].mean() > model.cpu_temp[8:].mean() + 10
 
     def test_cabinet_offsets_follow_pattern(self, machine):
-        model = ThermalModel(ThermalConfig(), machine, SeedSequenceFactory(0))
-        assert model.cabinet_offset.shape == (machine.num_nodes,)
+        cfg = ThermalConfig(node_offset_sigma=0.0)
+        model = ThermalModel(cfg, machine, SeedSequenceFactory(0))
+        pattern = cooling_pattern(
+            machine.config.grid_y, machine.config.grid_x, cfg.cooling_pattern_celsius
+        )
+        offset = model.steady_state(np.zeros(machine.num_nodes)) - cfg.ambient_celsius
+        assert offset.shape == (machine.num_nodes,)
+        assert np.allclose(offset, pattern[machine.cabinet_y, machine.cabinet_x])

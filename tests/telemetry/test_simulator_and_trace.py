@@ -151,11 +151,6 @@ class TestPersistence:
                 node_susceptibility=tiny_trace.node_susceptibility,
             )
 
-    def test_select_samples(self, tiny_trace):
-        mask = tiny_trace.samples["sbe_count"] > 0
-        subset = tiny_trace.select_samples(mask)
-        assert subset["node_id"].shape[0] == int(mask.sum())
-
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):

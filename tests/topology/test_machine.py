@@ -2,10 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.topology.location import NodeLocation
 from repro.topology.machine import Machine, MachineConfig, TITAN_CONFIG
 from repro.utils.errors import ConfigurationError
 
@@ -36,53 +33,6 @@ class TestMachineConfig:
         assert cfg.nodes_per_slot == 2
         assert cfg.cages_per_cabinet == 1
         assert cfg.grid_x == 25
-
-
-class TestLocationMapping:
-    def test_roundtrip_all_nodes(self, small_machine):
-        for node_id in range(small_machine.num_nodes):
-            loc = small_machine.location(node_id)
-            assert small_machine.node_id(loc) == node_id
-
-    def test_out_of_range(self, small_machine):
-        with pytest.raises(ValueError):
-            small_machine.location(small_machine.num_nodes)
-        with pytest.raises(ValueError):
-            small_machine.location(-1)
-        with pytest.raises(ValueError):
-            small_machine.node_id(NodeLocation(99, 0, 0, 0, 0))
-
-    @given(st.integers(min_value=0))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property_titan(self, raw):
-        machine = Machine()
-        node_id = raw % machine.num_nodes
-        assert machine.node_id(machine.location(node_id)) == node_id
-
-
-class TestNeighbours:
-    def test_slot_peers(self, small_machine):
-        peers = small_machine.slot_peers(0)
-        assert list(peers) == [1, 2, 3]
-        assert 5 not in peers
-
-    def test_slot_peers_consistent_with_locations(self, small_machine):
-        loc0 = small_machine.location(9)
-        for peer in small_machine.slot_peers(9):
-            assert loc0.same_slot(small_machine.location(int(peer)))
-
-    def test_cage_peers(self, small_machine):
-        peers = small_machine.cage_peers(0)
-        assert peers.size == 2 * 4 - 1
-        loc0 = small_machine.location(0)
-        for peer in peers:
-            assert loc0.same_cage(small_machine.location(int(peer)))
-
-    def test_cabinet_of(self, small_machine):
-        per_cab = small_machine.config.nodes_per_cabinet
-        assert small_machine.cabinet_of(0) == (0, 0)
-        assert small_machine.cabinet_of(per_cab) == (1, 0)
-        assert small_machine.cabinet_of(3 * per_cab) == (0, 1)
 
 
 class TestVectorizedViews:
@@ -117,15 +67,3 @@ class TestVectorizedViews:
             small_machine.cabinet_grid(
                 np.ones(small_machine.num_nodes), reduce="median"
             )
-
-    def test_slot_means(self, small_machine):
-        values = np.arange(small_machine.num_nodes, dtype=float)
-        means = small_machine.slot_means(values)
-        assert means[0] == pytest.approx(np.mean([0, 1, 2, 3]))
-        assert means[0] == means[3]
-        assert means[4] == pytest.approx(np.mean([4, 5, 6, 7]))
-
-    def test_slot_group_matches_slot_peers(self, small_machine):
-        group = small_machine.slot_group
-        assert group[0] == group[3]
-        assert group[0] != group[4]

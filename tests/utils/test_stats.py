@@ -1,113 +1,15 @@
-"""Tests for streaming statistics and distribution helpers."""
+"""Tests for the rank-correlation helper."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.stats import OnlineStats, diff_stats, empirical_cdf, spearman
+from repro.utils.stats import spearman
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
-
-
-class TestOnlineStats:
-    def test_empty_is_nan(self):
-        stats = OnlineStats()
-        assert np.isnan(stats.variance)
-        assert stats.as_tuple() == (pytest.approx(np.nan, nan_ok=True),) * 2
-
-    def test_single_value(self):
-        stats = OnlineStats()
-        stats.update(3.0)
-        assert stats.mean == 3.0
-        assert stats.std == 0.0
-        assert stats.min == 3.0 == stats.max
-
-    def test_matches_numpy(self):
-        values = np.array([1.0, 2.0, -5.0, 7.5, 0.0])
-        stats = OnlineStats()
-        for v in values:
-            stats.update(float(v))
-        assert stats.mean == pytest.approx(values.mean())
-        assert stats.std == pytest.approx(values.std())
-        assert stats.min == values.min()
-        assert stats.max == values.max()
-
-    def test_update_many_matches_scalar_updates(self):
-        values = np.linspace(-3, 9, 17)
-        a, b = OnlineStats(), OnlineStats()
-        for v in values:
-            a.update(float(v))
-        b.update_many(values)
-        assert a.mean == pytest.approx(b.mean)
-        assert a.std == pytest.approx(b.std)
-        assert a.count == b.count
-
-    def test_update_many_empty_is_noop(self):
-        stats = OnlineStats()
-        stats.update_many(np.empty(0))
-        assert stats.count == 0
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=50),
-        st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_concatenation(self, xs, ys):
-        merged = OnlineStats()
-        merged.update_many(np.asarray(xs))
-        other = OnlineStats()
-        other.update_many(np.asarray(ys))
-        merged.merge(other)
-        reference = np.concatenate([xs, ys])
-        assert merged.count == reference.size
-        assert merged.mean == pytest.approx(reference.mean(), rel=1e-9, abs=1e-6)
-        assert merged.std == pytest.approx(reference.std(), rel=1e-6, abs=1e-6)
-
-    def test_merge_into_empty(self):
-        a = OnlineStats()
-        b = OnlineStats()
-        b.update_many(np.array([1.0, 2.0]))
-        a.merge(b)
-        assert a.mean == pytest.approx(1.5)
-
-    def test_merge_empty_is_noop(self):
-        a = OnlineStats()
-        a.update(1.0)
-        a.merge(OnlineStats())
-        assert a.count == 1
-
-
-class TestDiffStats:
-    def test_short_series(self):
-        assert diff_stats(np.array([])) == (0.0, 0.0)
-        assert diff_stats(np.array([5.0])) == (0.0, 0.0)
-
-    def test_linear_series_has_constant_diffs(self):
-        mean, std = diff_stats(np.arange(10, dtype=float) * 2.0)
-        assert mean == pytest.approx(2.0)
-        assert std == pytest.approx(0.0)
-
-    def test_matches_numpy_diff(self):
-        series = np.array([1.0, 4.0, 2.0, 2.0, 8.0])
-        mean, std = diff_stats(series)
-        deltas = np.diff(series)
-        assert mean == pytest.approx(deltas.mean())
-        assert std == pytest.approx(deltas.std())
-
-
-class TestEmpiricalCdf:
-    def test_empty(self):
-        values, fractions = empirical_cdf(np.array([]))
-        assert values.size == 0 and fractions.size == 0
-
-    def test_monotone_and_bounded(self):
-        values, fractions = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert fractions[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(fractions) > 0)
 
 
 class TestSpearman:
